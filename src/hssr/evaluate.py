@@ -1,10 +1,10 @@
 """Monte-Carlo inference, epistemic uncertainty, and image-quality metrics.
 
 Inference draws N hard gate configurations (independent substreams spawned
-from one seed) and averages the N reconstructions. Because convolutions and
-resampling operate sample-by-sample, running the N draws as one batch gives
-bit-identical results to running them one at a time, so the batched path is
-the default and the sequential path exists for verification.
+from one seed) and averages the N reconstructions, computed as one batch.
+Because convolutions and resampling operate sample-by-sample, the batch
+gives bit-identical results to N single-sample forward passes, one per
+substream.
 
 All metrics are computed in float64. MPSNR averages per-band PSNR (peak 1),
 MSSIM averages per-band SSIM with the reference 11x11 Gaussian window, and
@@ -74,12 +74,12 @@ def _values(x) -> np.ndarray:
 # inference
 
 
-def mc_infer(net: SRNet, cube, n: int, seed, batched: bool = True):
+def mc_infer(net: SRNet, cube, n: int, seed):
     """N stochastic reconstructions and their clamped mean.
 
     Returns (mean HSCube, list of N sample HSCubes). Sample i consumes the
-    i-th substream of SeedSequence(seed) regardless of `batched`, so both
-    paths yield identical bits.
+    i-th substream of SeedSequence(seed), so it does not depend on N or on
+    being computed in a batch.
     """
     if n < 1:
         raise ParameterError(f"need at least one sample, got {n}")
@@ -88,16 +88,8 @@ def mc_infer(net: SRNet, cube, n: int, seed, batched: bool = True):
         raise DimensionError(f"expected a [B,h,w] cube, got shape {x.shape}")
     name = cube.name if isinstance(cube, HSCube) else ""
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
-    if batched:
-        xb = np.repeat(x[None].astype(np.float32), n, axis=0)
-        y, _ = forward(net, Tensor(xb), "sample", rng=rngs)
-        stack = y.data
-    else:
-        outs = []
-        for rng in rngs:
-            y, _ = forward(net, Tensor(x[None].astype(np.float32)), "sample", rng=rng)
-            outs.append(y.data[0])
-        stack = np.stack(outs)
+    xb = np.repeat(x[None].astype(np.float32), n, axis=0)
+    stack = forward(net, Tensor(xb), "sample", rng=rngs)[0].data
     mean = np.clip(np.mean(stack, axis=0), 0.0, 1.0)
     samples = [HSCube(np.ascontiguousarray(stack[i]), name=f"{name}_s{i}") for i in range(n)]
     return HSCube(mean.astype(np.float32), name=name), samples

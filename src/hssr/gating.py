@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import Graph, Param, Tensor, add, scale, sigmoid
+from .tensor import Graph, Param, Tensor, _sigmoid_stable, add, scale, sigmoid
 
 __all__ = [
     "MODES",
@@ -111,10 +111,4 @@ def mask_for(gate: GateParams, mode: str, rng: np.random.Generator = None,
 
 
 def _probs(gate: GateParams) -> np.ndarray:
-    x = gate.logits.data.astype(np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return _sigmoid_stable(gate.logits.data.astype(np.float64))

@@ -119,7 +119,10 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._leaf_cache: dict[int, Tensor] = {}
+        # id(param) -> node id. Node ids, not Tensors: a cached Tensor would
+        # point back at this graph, and that cycle would leave every dead
+        # tape (and the arrays its closures hold) to the cyclic collector.
+        self._leaf_ids: dict[int, int] = {}
 
     def leaf(self, data) -> Tensor:
         """Register a grad-enabled leaf holding a copy-free view of `data`."""
@@ -134,17 +137,16 @@ class Graph:
         when a layer (e.g. the shared degradation layer) is applied several
         times in one forward pass.
         """
-        t = self._leaf_cache.get(id(param))
-        if t is None:
-            t = self.leaf(param.data)
-            self._leaf_cache[id(param)] = t
-        return t
+        nid = self._leaf_ids.get(id(param))
+        if nid is None:
+            nid = self.leaf(param.data).node_id
+            self._leaf_ids[id(param)] = nid
+        return Tensor(param.data, graph=self, node_id=nid)
 
     def leaf_id(self, param) -> Optional[int]:
         """Node id of the leaf registered for `param`, or None if the param
         never entered this graph (its gradient is identically zero)."""
-        t = self._leaf_cache.get(id(param))
-        return None if t is None else t.node_id
+        return self._leaf_ids.get(id(param))
 
     def _record(self, op: str, data: np.ndarray, inputs: tuple, grad_fn: Callable) -> Tensor:
         t = Tensor(data, graph=self, node_id=len(self.nodes))
@@ -425,21 +427,32 @@ def _conv_out_extent(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
 
 
+def _gather(src: np.ndarray, taps: list, cols: np.ndarray) -> np.ndarray:
+    """Copy each tap of `src` [..., C, Hp, Wp] into `cols` [..., T, C, Ho, Wo]."""
+    for t, (ys, xs) in enumerate(taps):
+        cols[..., t, :, :, :] = src[..., ys, xs]
+    return cols
+
+
 def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-D cross-correlation with zero padding (no kernel flip).
 
     Args:
         x: input tensor [N, Cin, H, W].
-        kernel: weights [Cout, Cin/groups, kh, kw]; kh and kw must be odd.
+        kernel: weights [Cout, Cin, kh, kw] (dense) or [C, 1, kh, kw]
+            (depthwise); kh and kw must be odd.
         bias: per-output-channel offsets [Cout].
         stride: sampling step of the output grid (>= 1).
         padding: zero rows/cols added on every side.
-        groups: channel groups; groups == Cin == Cout is the depthwise case.
+        groups: 1 (dense) or Cin == Cout (depthwise); nothing in between.
 
     Output extent per axis is floor((size + 2*padding - k)/stride) + 1.
 
-    The inner matrix products run one sample at a time so that the result
-    for a given sample does not depend on the batch it was computed in.
+    Forward and both gradients walk the same kernel taps: tap (i, j) is the
+    strided slice padded[..., i::stride, j::stride] of output extent. Dense
+    convs copy one sample's taps into a [kh*kw*Cin, Ho*Wo] column buffer for
+    one matmul, sample by sample so that a sample's result does not depend
+    on its batch; depthwise convs do one multiply-add per tap.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     _check_dtypes("conv2d", x, kernel, bias)
@@ -454,16 +467,16 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
     if groups < 1:
         raise ParameterError(f"conv2d: groups must be positive, got {groups}")
     n, cin, h, w = x.shape
-    cout, cin_g, kh, kw = kernel.shape
+    cout, cin_k, kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ParameterError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
-    if cin % groups or cout % groups:
+    depthwise = groups > 1
+    if depthwise and not groups == cin == cout:
+        raise DimensionError(f"conv2d: groups={groups} is neither 1 (dense) nor equal to "
+                             f"both channel counts (depthwise: {cin} in, {cout} out)")
+    if cin_k != (1 if depthwise else cin):
         raise DimensionError(
-            f"conv2d: channels ({cin} in, {cout} out) not divisible by groups={groups}"
-        )
-    if cin_g != cin // groups:
-        raise DimensionError(
-            f"conv2d: kernel expects {cin_g} channels per group, input provides {cin // groups}"
+            f"conv2d: kernel has {cin_k} input channels, expected {1 if depthwise else cin}"
         )
     if bias.shape != (cout,):
         raise DimensionError(f"conv2d: bias shape {bias.shape} != ({cout},)")
@@ -472,75 +485,55 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
             f"conv2d: padded input {h + 2 * padding}x{w + 2 * padding} smaller than kernel {kh}x{kw}"
         )
 
-    xd, kd, bd = x.data, kernel.data, bias.data
-    padded = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
-
-    depthwise = groups == cin == cout
-    cg_in, cg_out = cin // groups, cout // groups
+    xd, kd = x.data, kernel.data
+    padded = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
+    ho = _conv_out_extent(h, kh, stride, padding)
+    wo = _conv_out_extent(w, kw, stride, padding)
+    taps = [(slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
+            for i in range(kh) for j in range(kw)]
+    ntap = len(taps)
     if depthwise:
-        kk = kd[:, 0]
-        for b in range(n):
-            out[b] = np.einsum("chwij,cij->chw", win[b], kk)
+        ktap = kd.reshape(cout, ntap).T[:, None, :, None, None]  # [T, 1, C, 1, 1] view
+        out = np.zeros((n, cout, ho, wo), dtype=xd.dtype)
+        for (ys, xs), k_t in zip(taps, ktap):
+            out += padded[:, :, ys, xs] * k_t
     else:
-        kmat = kd.reshape(groups, cg_out, cg_in * kh * kw)
+        kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
+        out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
+        cols = np.empty((ntap, cin, ho, wo), dtype=xd.dtype)
         for b in range(n):
-            for g in range(groups):
-                cols = win[b, g * cg_in:(g + 1) * cg_in]
-                cols = cols.transpose(1, 2, 0, 3, 4).reshape(ho * wo, cg_in * kh * kw)
-                res = cols @ kmat[g].T
-                out[b, g * cg_out:(g + 1) * cg_out] = res.T.reshape(cg_out, ho, wo)
-    out += bd.reshape(1, cout, 1, 1)
+            _gather(padded[b], taps, cols)
+            np.matmul(kmat, cols.reshape(ntap * cin, ho * wo), out=out[b].reshape(cout, ho * wo))
+    out += bias.data.reshape(1, cout, 1, 1)
 
     def factory():
         need_x = x.graph is not None
         need_k = kernel.graph is not None
         need_b = bias.graph is not None
 
+        # keeps `padded` and the kernel data only; column buffers and the
+        # permuted kernel are rebuilt here, so the tape does not hold them
         def grad_fn(go):
             gb = go.sum(axis=(0, 2, 3)) if need_b else None
-            gk = None
-            if need_k:
-                if depthwise:
-                    gk = np.einsum("nchwij,nchw->cij", win, go)[:, None]
-                else:
-                    gk = np.empty_like(kd)
-                    gkm = gk.reshape(groups, cg_out, cg_in * kh * kw)
-                    for g in range(groups):
-                        acc = np.zeros((cg_out, cg_in * kh * kw), dtype=go.dtype)
-                        for b in range(n):
-                            cols = win[b, g * cg_in:(g + 1) * cg_in]
-                            cols = cols.transpose(1, 2, 0, 3, 4).reshape(ho * wo, cg_in * kh * kw)
-                            acc += go[b, g * cg_out:(g + 1) * cg_out].reshape(cg_out, ho * wo) @ cols
-                        gkm[g] = acc
-            gx = None
+            gk = gx = None
+            go3 = go.reshape(n, cout, ho * wo)
+            if need_k and depthwise:
+                gk = np.stack([np.einsum("nchw,nchw->c", padded[:, :, ys, xs], go)
+                               for ys, xs in taps], axis=1).reshape(kd.shape)
+            elif need_k:
+                cols = _gather(padded, taps, np.empty((n, ntap, cin, ho, wo), dtype=go.dtype))
+                gkm = (go3 @ cols.reshape(n, ntap * cin, ho * wo).transpose(0, 2, 1)).sum(axis=0)
+                gk = gkm.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
             if need_x:
-                gpad = np.zeros_like(padded)
                 if depthwise:
-                    spread = np.einsum("ncyx,cij->ncyxij", go, kd[:, 0])
-                    for i in range(kh):
-                        for j in range(kw):
-                            gpad[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += (
-                                spread[:, :, :, :, i, j]
-                            )
+                    parts = (go * k_t for k_t in ktap)
                 else:
-                    for g in range(groups):
-                        kg = kd[g * cg_out:(g + 1) * cg_out]
-                        spread = np.tensordot(go[:, g * cg_out:(g + 1) * cg_out], kg, axes=([1], [0]))
-                        for i in range(kh):
-                            for j in range(kw):
-                                gpad[
-                                    :,
-                                    g * cg_in:(g + 1) * cg_in,
-                                    i:i + stride * ho:stride,
-                                    j:j + stride * wo:stride,
-                                ] += spread[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                    kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
+                    parts = np.matmul(kmat.T, go3).reshape(n, ntap, cin, ho, wo).swapaxes(0, 1)
+                gpad = np.zeros_like(padded)
+                for (ys, xs), part in zip(taps, parts):
+                    gpad[:, :, ys, xs] += part
                 gx = gpad[:, :, padding:padding + h, padding:padding + w]
-                if padding:
-                    gx = gx.copy()
             return (gx, gk, gb)
 
         return grad_fn

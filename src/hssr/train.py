@@ -321,7 +321,10 @@ def load_checkpoint(path) -> SRNet:
         raw, off = _read_exact(buf, off, 4, path, "name length")
         (nlen,) = struct.unpack("<I", raw)
         raw, off = _read_exact(buf, off, nlen, path, "name")
-        name = raw.decode("utf-8")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: entry name {raw[:32]!r} is not valid utf-8") from None
         raw, off = _read_exact(buf, off, 4, path, "rank")
         (ndim,) = struct.unpack("<I", raw)
         raw, off = _read_exact(buf, off, 4 * ndim, path, "shape")
@@ -332,18 +335,19 @@ def load_checkpoint(path) -> SRNet:
     if off != len(buf):
         raise FormatError(f"{path}: {len(buf) - off} trailing bytes after last entry")
 
+    conf = {}
     for key in _CONFIG_KEYS:
-        if f"config.{key}" not in entries:
+        arr = entries.pop(f"config.{key}", None)
+        if arr is None:
             raise FormatError(f"{path}: missing config entry {key!r}")
-    cfg = NetConfig(
-        bands=int(entries.pop("config.bands")),
-        scale=int(entries.pop("config.scale")),
-        stages=int(entries.pop("config.stages")),
-        units_per_stage=int(entries.pop("config.units_per_stage")),
-        channels=int(entries.pop("config.channels")),
-    )
-    tau = float(entries.pop("config.tau"))
-    net = build_net(cfg, np.random.default_rng(0), tau=tau)
+        if arr.size != 1 or not np.isfinite(arr).all():
+            raise FormatError(f"{path}: config entry {key!r} must be one finite value")
+        val = float(arr.reshape(()))
+        if key != "tau" and val != int(val):
+            raise FormatError(f"{path}: config entry {key!r} = {val} is not an integer")
+        conf[key] = val if key == "tau" else int(val)
+    tau = conf.pop("tau")
+    net = build_net(NetConfig(**conf), np.random.default_rng(0), tau=tau)
     for p in parameters(net):
         if p.name not in entries:
             raise FormatError(f"{path}: missing parameter {p.name!r}")
@@ -352,6 +356,8 @@ def load_checkpoint(path) -> SRNet:
             raise FormatError(
                 f"{path}: parameter {p.name!r} has shape {arr.shape}, expected {p.data.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: parameter {p.name!r} has non-finite values")
         p.data = arr
     if entries:
         raise FormatError(f"{path}: unknown entries {sorted(entries)[:3]}")

@@ -124,6 +124,10 @@ OP_CASES = [
         _plain_conv, [_u(rng, 2, 3, 5, 5), _u(rng, 4, 3, 3, 3), _u(rng, 4)], 1)),
     ("conv2d.bias", lambda rng: (
         _plain_conv, [_u(rng, 2, 3, 5, 5), _u(rng, 4, 3, 3, 3), _u(rng, 4)], 2)),
+    ("conv2d.head.x", lambda rng: (
+        _plain_conv, [_u(rng, 1, 2, 4, 4), _u(rng, 8, 2, 3, 3), _u(rng, 8)], 0)),
+    ("conv2d.head.kernel", lambda rng: (
+        _plain_conv, [_u(rng, 1, 2, 4, 4), _u(rng, 8, 2, 3, 3), _u(rng, 8)], 1)),
     ("conv2d.strided.x", lambda rng: (
         _strided_conv, [_u(rng, 1, 2, 7, 7), _u(rng, 3, 2, 5, 5), _u(rng, 3)], 0)),
     ("conv2d.strided.kernel", lambda rng: (

@@ -280,6 +280,16 @@ class TestInferenceCommands:
         ])
         assert rc == 2
 
+    def test_undecodable_checkpoint_entry_is_config_error(self, run_dir, data_dir, tmp_path):
+        blob = (run_dir / "checkpoint.pdec").read_bytes()
+        bad = tmp_path / "bad.pdec"
+        bad.write_bytes(blob.replace(b"stage1.stem.bias", b"stage1.stem.b\xffas"))
+        rc = main([
+            "sr", "--checkpoint", str(bad),
+            "--input", str(data_dir / "lr" / "test"), "--out", str(tmp_path / "p"),
+        ])
+        assert rc == 2
+
 
 class TestEvalCommand:
     def test_perfect_prediction_scores(self, data_dir, tmp_path, capsys):

@@ -55,11 +55,17 @@ class TestMcInfer:
     def test_batched_equals_sequential(self, rng):
         net = small_net()
         cube = _cube(rng)
-        mean_b, samp_b = mc_infer(net, cube, n=5, seed=7, batched=True)
-        mean_s, samp_s = mc_infer(net, cube, n=5, seed=7, batched=False)
-        np.testing.assert_array_equal(mean_b.values, mean_s.values)
-        for a, b in zip(samp_b, samp_s):
-            np.testing.assert_array_equal(a.values, b.values)
+        mean_b, samp_b = mc_infer(net, cube, n=5, seed=7)
+        # sequential reference: one single-sample forward per substream
+        seq = []
+        for ss in np.random.SeedSequence(7).spawn(5):
+            y, _ = forward(net, cube.values[None], "sample",
+                           rng=np.random.default_rng(ss))
+            seq.append(y.data[0])
+        for a, b in zip(samp_b, seq):
+            np.testing.assert_array_equal(a.values, b)
+        np.testing.assert_array_equal(
+            mean_b.values, np.clip(np.mean(np.stack(seq), axis=0), 0.0, 1.0).astype(np.float32))
 
     def test_seed_reproducibility(self, rng):
         net = small_net()

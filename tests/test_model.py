@@ -1,5 +1,8 @@
 """Network wiring: units, aggregation, stages, degradation, full forward, loss."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from hssr.model import (
     stage_forward,
     unit_forward,
 )
-from hssr.tensor import Tensor, bicubic_resize_array
+from hssr.tensor import Graph, Tensor, backward, bicubic_resize_array
 
 
 def small_net(bands=3, scale=2, stages=2, units=2, channels=8, seed=0, dtype=np.float32):
@@ -348,3 +351,24 @@ class TestLoss:
                 np.testing.assert_array_equal(piece, 0.0)
             else:
                 assert np.linalg.norm(piece) > 0.0
+
+    def test_tape_is_freed_without_the_cycle_collector(self, rng):
+        # a training step's tape must die with its last reference, not wait
+        # for gc: every array its backward closures hold lives as long as it
+        net = small_net(seed=1)
+        x = rng.uniform(0.1, 0.9, (1, 3, 6, 6)).astype(np.float32)
+        y = rng.uniform(0.1, 0.9, (1, 3, 12, 12)).astype(np.float32)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            graph = Graph()
+            y_hat, x_hat = forward(net, x, "train", rng=np.random.default_rng(5), graph=graph)
+            step_loss = loss(y_hat, y, x_hat, x)
+            grads = backward(step_loss)
+            assert graph.leaf_id(parameters(net)[0]) in grads
+            ref = weakref.ref(graph)
+            del graph, y_hat, x_hat, step_loss
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()

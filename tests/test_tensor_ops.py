@@ -64,7 +64,6 @@ class TestConv2d:
         (2, 2, 1, 2, 3, 5),
         (1, 1, 4, 4, 4, 3),  # depthwise
         (1, 0, 1, 4, 5, 1),  # pointwise
-        (3, 1, 2, 4, 6, 3),
         (4, 2, 1, 1, 1, 5),
     ])
     def test_loop_oracle_sweep(self, rng, stride, padding, groups, cin, cout, kk):
@@ -95,13 +94,19 @@ class TestConv2d:
 
     def test_batch_row_independence(self, rng):
         # row i of a batched run must be bit-identical to a lone run of row i
-        x = rng.random((3, 2, 6, 6), dtype=np.float32)
-        k = rng.random((4, 2, 3, 3), dtype=np.float32)
-        b = rng.random(4, dtype=np.float32)
-        full = conv2d(Tensor(x), Tensor(k), Tensor(b), padding=1).data
-        for i in range(3):
-            solo = conv2d(Tensor(x[i:i + 1]), Tensor(k), Tensor(b), padding=1).data
-            np.testing.assert_array_equal(full[i:i + 1], solo)
+        for cin, cout, kk, stride, padding, groups in [
+            (2, 4, 3, 1, 1, 1),
+            (4, 4, 3, 1, 1, 4),  # depthwise
+            (3, 3, 5, 4, 2, 1),  # degradation-like: strided dense
+        ]:
+            x = rng.random((3, cin, 12, 12), dtype=np.float32)
+            k = rng.random((cout, cin // groups, kk, kk), dtype=np.float32)
+            b = rng.random(cout, dtype=np.float32)
+            kw = dict(stride=stride, padding=padding, groups=groups)
+            full = conv2d(Tensor(x), Tensor(k), Tensor(b), **kw).data
+            for i in range(3):
+                solo = conv2d(Tensor(x[i:i + 1]), Tensor(k), Tensor(b), **kw).data
+                np.testing.assert_array_equal(full[i:i + 1], solo)
 
     def test_determinism(self, rng):
         x = rng.random((2, 3, 7, 7), dtype=np.float32)
@@ -123,6 +128,10 @@ class TestConv2d:
             conv2d(x, k, Tensor(np.zeros(4, np.float32)))
         with pytest.raises(DimensionError):
             conv2d(x, k, b, groups=2)  # cout=3 not divisible
+        with pytest.raises(DimensionError):  # grouped, neither dense nor depthwise
+            conv2d(Tensor(rng.random((2, 4, 9, 9), dtype=np.float32)),
+                   Tensor(rng.random((6, 2, 3, 3), dtype=np.float32)),
+                   Tensor(np.zeros(6, np.float32)), stride=3, padding=1, groups=2)
         with pytest.raises(DimensionError):
             conv2d(Tensor(rng.random((1, 2, 2, 2), dtype=np.float32)), k, b)  # smaller than kernel
         with pytest.raises(ParameterError):

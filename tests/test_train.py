@@ -214,6 +214,26 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="shape"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda b: b.replace(b"stage1.stem.bias", b"stage1.stem.b\xffas"), "utf-8"),
+        (lambda b: _with_first_value(b, b"config.bands", 3.7), "not an integer"),
+        (lambda b: _with_first_value(b, b"stage1.stem.bias", float("nan")), "non-finite"),
+    ], ids=["name_not_utf8", "config_not_integral", "param_not_finite"])
+    def test_malformed_entry_rejected(self, tmp_path, mutate, match):
+        path = tmp_path / "ck.pdec"
+        save_checkpoint(self._net(), path)
+        path.write_bytes(mutate(path.read_bytes()))
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+
+def _with_first_value(blob: bytes, name: bytes, value: float) -> bytes:
+    """PDEC bytes with the first payload value of entry `name` replaced."""
+    i = blob.index(name) + len(name)
+    (ndim,) = struct.unpack("<I", blob[i:i + 4])
+    at = i + 4 + 4 * ndim
+    return blob[:at] + struct.pack("<f", value) + blob[at + 4:]
+
 
 def make_dataset(root, n=3, bands=3, hw=16, scale=2, seed=0):
     rng = np.random.default_rng(seed)
