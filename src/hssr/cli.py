@@ -9,7 +9,6 @@ validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from .evaluate import evaluate_pairs, mc_infer, report_csv, report_text, uncerta
 from .hsdata import (
     DatasetManifest,
     HSCube,
+    atomic_write,
     extract_patches,
     make_lr,
     read_cube,
@@ -100,13 +100,6 @@ def read_run_config(path, overrides=()) -> dict:
                 raise ParameterError(f"config is missing required key {key!r}")
             values[key] = default
     return values
-
-
-def _atomic_text(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _cube_files(path: Path) -> list:
@@ -240,7 +233,7 @@ def cmd_eval(args) -> int:
     report_path = Path(args.report)
     if report_path.parent:
         report_path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_text(report_path, report_csv(rep))
+    atomic_write(report_path, [report_csv(rep).encode()])
     sys.stdout.write(report_text(rep))
     if args.baseline_bicubic:
         lr_dir = Path(args.baseline_bicubic)
@@ -261,7 +254,7 @@ def cmd_eval(args) -> int:
             base_pairs.append((name, HSCube(up.astype(np.float32)), gt))
         base_rep = evaluate_pairs(base_pairs)
         base_path = report_path.with_name(report_path.stem + "_bicubic" + report_path.suffix)
-        _atomic_text(base_path, report_csv(base_rep))
+        atomic_write(base_path, [report_csv(base_rep).encode()])
         sys.stdout.write("bicubic baseline:\n" + report_text(base_rep))
     return 0
 

@@ -14,6 +14,7 @@ so a manifest is self-describing.
 from __future__ import annotations
 
 import os
+import secrets
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +31,7 @@ __all__ = [
     "write_cube",
     "read_manifest",
     "write_manifest",
+    "atomic_write",
     "lr_counterpart",
     "extract_patches",
     "augment",
@@ -83,8 +85,28 @@ class DatasetManifest:
         return [p for p, r in self.entries if r == role]
 
 
+def atomic_write(path, chunks) -> None:
+    """Write the byte strings `chunks` to `path` all or nothing.
+
+    They go to a new temp file next to `path` (a random name opened with
+    O_EXCL, mode 0o666 less the umask), which then replaces `path`; if the
+    write or the rename fails, the temp file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_cube(cube: HSCube, path) -> None:
-    """Serialize to the HSC1 container; the write is atomic (tmp + rename)."""
+    """Serialize to the HSC1 container; the write is atomic (see atomic_write)."""
     vals = np.asarray(cube.values)
     if vals.ndim != 3:
         raise DimensionError(f"cube must be 3-D [B,H,W], got shape {vals.shape}")
@@ -93,14 +115,7 @@ def write_cube(cube: HSCube, path) -> None:
         raise DimensionError(f"cube extents must be positive, got {vals.shape}")
     if not np.isfinite(vals).all():
         raise ParameterError("cube contains non-finite values; refusing to write")
-    path = Path(path)
-    payload = vals.astype("<f4").tobytes()
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", b, h, w))
-        fh.write(payload)
-    os.replace(tmp, path)
+    atomic_write(path, (_MAGIC, struct.pack("<III", b, h, w), vals.astype("<f4").tobytes()))
 
 
 def read_cube(path) -> HSCube:
@@ -133,7 +148,6 @@ def read_cube(path) -> HSCube:
 
 
 def write_manifest(man: DatasetManifest, path) -> None:
-    path = Path(path)
     lines = [
         "# hyperspectral dataset manifest",
         f"# scale={man.scale}",
@@ -145,9 +159,7 @@ def write_manifest(man: DatasetManifest, path) -> None:
         if role not in _ROLES:
             raise ParameterError(f"manifest role must be one of {_ROLES}, got {role!r}")
         lines.append(f"{role} {p}")
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, ["\n".join(lines).encode() + b"\n"])
 
 
 def read_manifest(path) -> DatasetManifest:

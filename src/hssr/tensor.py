@@ -423,6 +423,14 @@ def concat_channels(tensors: Sequence) -> Tensor:
 # convolution
 
 
+# Byte budget of the dense forward's column buffer: half of a 2 MiB per-core
+# L2, so the gathered block is still in cache when the matmul reads it.
+# Swept at the sr tail, head and degrade shapes on 1 BLAS thread (medians in
+# CHANGES.md): 512 KiB ran the head ~13% slower (narrower matmuls), 2 MiB
+# ran the 128x128 tail ~8% slower, and a whole-plane buffer ran it 1.9x slower.
+_COLS_BYTES = 1 << 20
+
+
 def _conv_out_extent(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
 
@@ -450,9 +458,14 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
 
     Forward and both gradients walk the same kernel taps: tap (i, j) is the
     strided slice padded[..., i::stride, j::stride] of output extent. Dense
-    convs copy one sample's taps into a [kh*kw*Cin, Ho*Wo] column buffer for
-    one matmul, sample by sample so that a sample's result does not depend
-    on its batch; depthwise convs do one multiply-add per tap.
+    convs copy one sample's taps into a [kh*kw*Cin, rows*Wo] column buffer
+    and multiply it straight into the output, sample by sample and in blocks
+    of output rows: the fewest equal blocks whose buffer fits in _COLS_BYTES
+    (the last block may be shorter), so the buffer is still in cache when the
+    matmul reads it. The block plan depends on the layer and output shapes
+    only, never on the batch size, so a sample's result does not depend on
+    its batch. Depthwise convs do one multiply-add per tap. The backward
+    gathers whole planes.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     _check_dtypes("conv2d", x, kernel, bias)
@@ -500,10 +513,19 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
     else:
         kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
         out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
-        cols = np.empty((ntap, cin, ho, wo), dtype=xd.dtype)
-        for b in range(n):
-            _gather(padded[b], taps, cols)
-            np.matmul(kmat, cols.reshape(ntap * cin, ho * wo), out=out[b].reshape(cout, ho * wo))
+        # rows per block: the fewest equal blocks whose buffer fits the budget
+        rows = max(1, _COLS_BYTES // (ntap * cin * wo * xd.itemsize))
+        rows = -(-ho // -(-ho // rows))
+        buf = np.empty(ntap * cin * rows * wo, dtype=xd.dtype)
+        for r0 in range(0, ho, rows):
+            r = min(rows, ho - r0)
+            btaps = [(slice(ys.start + stride * r0, ys.start + stride * (r0 + r), stride), xs)
+                     for ys, xs in taps]
+            cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
+            for b in range(n):
+                _gather(padded[b], btaps, cols)
+                np.matmul(kmat, cols.reshape(ntap * cin, r * wo),
+                          out=out[b].reshape(cout, ho * wo)[:, r0 * wo:(r0 + r) * wo])
     out += bias.data.reshape(1, cout, 1, 1)
 
     def factory():

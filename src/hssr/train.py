@@ -14,7 +14,6 @@ ride along as scalar ``config.*`` entries so a checkpoint is self-contained.
 
 from __future__ import annotations
 
-import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError, TrainingError
-from .hsdata import DatasetManifest, HSCube, augment, lr_counterpart, read_cube
+from .hsdata import DatasetManifest, HSCube, atomic_write, augment, lr_counterpart, read_cube
 from .model import NetConfig, SRNet, build_net, forward, loss, parameters
 from .tensor import Graph, Tensor, backward
 
@@ -247,6 +246,8 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir,
                     grads.append(None if nid is None else node_grads.get(nid))
                 adam_step(state, params, grads, lr)
                 epoch_losses.append(lval)
+                # free this step's tape now, not when the next forward returns
+                del graph, y_hat, x_hat, step_loss, node_grads, grads
             secs = time.perf_counter() - t0
             mean_loss = float(np.mean(epoch_losses))
             line = f"epoch={epoch} lr={lr:.8g} loss={mean_loss:.8g} secs={secs:.3f}"
@@ -282,7 +283,6 @@ def _scalar_entries(net: SRNet) -> list:
 
 def save_checkpoint(net: SRNet, path) -> None:
     """Serialize config scalars and every parameter; atomic write."""
-    path = Path(path)
     entries = _scalar_entries(net) + [(p.name, p.data) for p in parameters(net)]
     blob = [_CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(entries))]
     for name, arr in entries:
@@ -293,9 +293,7 @@ def save_checkpoint(net: SRNet, path) -> None:
         blob.append(struct.pack("<I", arr.ndim))
         blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
         blob.append(arr.astype("<f4").tobytes())
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_bytes(b"".join(blob))
-    os.replace(tmp, path)
+    atomic_write(path, blob)
 
 
 def _read_exact(buf: bytes, off: int, n: int, path, what: str):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import mpsnr_loop, mssim_loop, sam_loop, uncertainty_loop
 
+from hssr import tensor
 from hssr.errors import DimensionError, ParameterError
 from hssr.evaluate import (
     MetricsReport,
@@ -52,20 +53,24 @@ class TestMcInfer:
         for s in samples:
             np.testing.assert_array_equal(s.values, ref.data[0])
 
-    def test_batched_equals_sequential(self, rng):
+    def test_batched_equals_sequential(self, rng, monkeypatch):
         net = small_net()
         cube = _cube(rng)
-        mean_b, samp_b = mc_infer(net, cube, n=5, seed=7)
-        # sequential reference: one single-sample forward per substream
-        seq = []
-        for ss in np.random.SeedSequence(7).spawn(5):
-            y, _ = forward(net, cube.values[None], "sample",
-                           rng=np.random.default_rng(ss))
-            seq.append(y.data[0])
-        for a, b in zip(samp_b, seq):
-            np.testing.assert_array_equal(a.values, b)
-        np.testing.assert_array_equal(
-            mean_b.values, np.clip(np.mean(np.stack(seq), axis=0), 0.0, 1.0).astype(np.float32))
+        # 5184 B: 3 rows of the HR tail conv's column buffer (blocks of 3, ..., 3, 1)
+        for cols_bytes in (tensor._COLS_BYTES, 5184):
+            monkeypatch.setattr(tensor, "_COLS_BYTES", cols_bytes)
+            mean_b, samp_b = mc_infer(net, cube, n=5, seed=7)
+            # sequential reference: one single-sample forward per substream
+            seq = []
+            for ss in np.random.SeedSequence(7).spawn(5):
+                y, _ = forward(net, cube.values[None], "sample",
+                               rng=np.random.default_rng(ss))
+                seq.append(y.data[0])
+            for a, b in zip(samp_b, seq):
+                np.testing.assert_array_equal(a.values, b)
+            np.testing.assert_array_equal(
+                mean_b.values,
+                np.clip(np.mean(np.stack(seq), axis=0), 0.0, 1.0).astype(np.float32))
 
     def test_seed_reproducibility(self, rng):
         net = small_net()

@@ -1,5 +1,6 @@
 """Cube container round-trips, patching, augmentation, LR synthesis."""
 
+import os
 import struct
 
 import numpy as np
@@ -33,6 +34,15 @@ class TestCubeFormat:
         back = read_cube(tmp_path / "z.hsc")
         np.testing.assert_array_equal(back.values, cube.values)
         assert back.bands == 2 and back.height == 4 and back.width == 4
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write_cube(HSCube(np.zeros((2, 4, 4), np.float32)), tmp_path / "z.hsc")
+        assert list(tmp_path.iterdir()) == []
 
     def test_random_round_trip_bit_exact(self, tmp_path, rng):
         vals = rng.random((31, 64, 64), dtype=np.float32)

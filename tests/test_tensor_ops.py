@@ -1,6 +1,9 @@
 """Tensor op semantics: forward values against loop oracles, gradients
 against finite differences, shape/error contracts, determinism."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import check_op_grad, gradcheck_all_ops, rel_err
 from oracles import bicubic_direct, conv2d_loop, pixel_shuffle_loop
 
+from hssr import tensor
 from hssr.errors import DimensionError, ParameterError
 from hssr.tensor import (
     Graph,
@@ -76,6 +80,48 @@ class TestConv2d:
         assert out.shape == ref.shape
         assert np.abs(out.data - ref).max() < 1e-10
 
+    @pytest.mark.parametrize("stride,padding,cin,cout,kk,size,blocks", [
+        (1, 1, 3, 4, 3, 9, (2, 2, 2, 2, 1)),  # 3x3 pad 1
+        (4, 2, 3, 2, 5, 25, (2, 2, 2, 1)),  # degradation-like
+    ])
+    def test_row_blocks_match_loop_oracle(self, rng, monkeypatch, stride, padding,
+                                          cin, cout, kk, size, blocks):
+        x = rng.uniform(-1, 1, (2, cin, size, size))
+        k = rng.uniform(-1, 1, (cout, cin, kk, kk))
+        b = rng.uniform(-1, 1, cout)
+        wo = (size + 2 * padding - kk) // stride + 1
+        # a budget of two output rows' column buffer
+        monkeypatch.setattr(tensor, "_COLS_BYTES", 2 * kk * kk * cin * wo * x.itemsize)
+        rows = []
+        gather = tensor._gather
+
+        def spy(src, taps, cols):
+            rows.append(cols.shape[-2])
+            return gather(src, taps, cols)
+
+        monkeypatch.setattr(tensor, "_gather", spy)
+        out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
+        assert sorted(rows) == sorted(blocks * 2)  # per sample, one gather per block
+        ref = conv2d_loop(x, k, b, stride, padding)
+        assert out.shape == ref.shape
+        assert np.abs(out.data - ref).max() < 1e-10
+
+    def test_column_buffer_fits_the_budget(self, rng):
+        # at the sr tail shape the dense forward allocates, beyond its padded
+        # input and its output, at most one _COLS_BYTES column buffer
+        x = Tensor(rng.random((2, 31, 128, 128), dtype=np.float32))
+        k = Tensor(rng.random((31, 31, 3, 3), dtype=np.float32))
+        b = Tensor(np.zeros(31, np.float32))
+        padded_bytes = 2 * 31 * 130 * 130 * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, k, b, padding=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - padded_bytes - out.data.nbytes <= tensor._COLS_BYTES
+
     def test_depthwise_equals_per_channel_correlation(self, rng):
         x = rng.uniform(-1, 1, (1, 3, 6, 6))
         k = rng.uniform(-1, 1, (3, 1, 3, 3))
@@ -92,13 +138,18 @@ class TestConv2d:
         ref = np.einsum("oc,nchw->nohw", k[:, :, 0, 0], x) + b[None, :, None, None]
         assert np.abs(out.data - ref).max() < 1e-10
 
-    def test_batch_row_independence(self, rng):
-        # row i of a batched run must be bit-identical to a lone run of row i
-        for cin, cout, kk, stride, padding, groups in [
-            (2, 4, 3, 1, 1, 1),
-            (4, 4, 3, 1, 1, 4),  # depthwise
-            (3, 3, 5, 4, 2, 1),  # degradation-like: strided dense
-        ]:
+    def test_batch_row_independence(self, rng, monkeypatch):
+        # row i of a batched run must be bit-identical to a lone run of row i,
+        # also when the dense forward runs in row blocks (2000 B: two rows each)
+        for cols_bytes, (cin, cout, kk, stride, padding, groups) in itertools.product(
+            (tensor._COLS_BYTES, 2000),
+            [
+                (2, 4, 3, 1, 1, 1),
+                (4, 4, 3, 1, 1, 4),  # depthwise
+                (3, 3, 5, 4, 2, 1),  # degradation-like: strided dense
+            ],
+        ):
+            monkeypatch.setattr(tensor, "_COLS_BYTES", cols_bytes)
             x = rng.random((3, cin, 12, 12), dtype=np.float32)
             k = rng.random((cout, cin // groups, kk, kk), dtype=np.float32)
             b = rng.random(cout, dtype=np.float32)

@@ -1,7 +1,10 @@
 """Optimizer, schedule, checkpoint container, and the training loop."""
 
+import gc
+import importlib
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -368,6 +371,31 @@ class TestTrainLoop:
         train(man, NET3, cfg, tmp_path / "run", base_dir=tmp_path)
         names = sorted(p.name for p in (tmp_path / "run").glob("*.pdec"))
         assert names == ["checkpoint.pdec", "checkpoint_ep0001.pdec", "checkpoint_ep0003.pdec"]
+
+    def test_step_tape_is_freed_before_the_next_forward(self, tmp_path, monkeypatch):
+        # only one step's tape may be alive at a time: the previous graph must
+        # be gone, without the cycle collector, when the next forward starts
+        man = make_dataset(tmp_path)
+        train_mod = importlib.import_module("hssr.train")  # `hssr.train` is the function
+        real_forward = train_mod.forward
+        refs = []
+
+        def spy(*args, graph=None, **kwargs):
+            if refs:
+                assert refs[-1]() is None, f"step {len(refs) - 1}'s tape is still alive"
+            refs.append(weakref.ref(graph))
+            return real_forward(*args, graph=graph, **kwargs)
+
+        monkeypatch.setattr(train_mod, "forward", spy)
+        cfg = TrainConfig(warmup_epochs=1, main_epochs=1, batch=2, seed=0)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(man, NET3, cfg, tmp_path / "run", base_dir=tmp_path)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(refs) == 4  # 3 pairs, batch 2: two steps per epoch
 
 
 class TestLoadPairs:
