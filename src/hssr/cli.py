@@ -201,6 +201,8 @@ def cmd_sr(args) -> int:
             for i, s in enumerate(samples):
                 clipped = HSCube(np.clip(s.values, 0.0, 1.0), name=s.name)
                 write_cube(clipped, Path(args.save_samples) / f"{f.stem}_s{i}.hsc")
+        # drop this cube's N-sample stack before the next mc_infer allocates its own
+        del mean, samples
     print(f"super-resolved {len(files)} cube(s) -> {out}")
     return 0
 
@@ -216,6 +218,7 @@ def cmd_uncertainty(args) -> int:
         target = out / f.name if in_path.is_dir() else out
         # HSC1 stores [0,1]; percentages are scaled down by 100
         write_cube(HSCube((umap.values / 100.0).astype(np.float32), name=f.stem), target)
+        del mean, samples, umap
     print(f"wrote {len(files)} uncertainty map(s) -> {out}")
     return 0
 

@@ -1,10 +1,9 @@
 """Monte-Carlo inference, epistemic uncertainty, and image-quality metrics.
 
 Inference draws N hard gate configurations (independent substreams spawned
-from one seed) and averages the N reconstructions, computed as one batch.
-Because convolutions and resampling operate sample-by-sample, the batch
-gives bit-identical results to N single-sample forward passes, one per
-substream.
+from one seed) and averages the N reconstructions. The samples run one
+single-sample forward pass at a time, so network activations exist for one
+sample at once and memory grows with N only by the N output cubes.
 
 All metrics are computed in float64. MPSNR averages per-band PSNR (peak 1),
 MSSIM averages per-band SSIM with the reference 11x11 Gaussian window, and
@@ -77,9 +76,10 @@ def _values(x) -> np.ndarray:
 def mc_infer(net: SRNet, cube, n: int, seed):
     """N stochastic reconstructions and their clamped mean.
 
-    Returns (mean HSCube, list of N sample HSCubes). Sample i consumes the
-    i-th substream of SeedSequence(seed), so it does not depend on N or on
-    being computed in a batch.
+    Returns (mean HSCube, list of N sample HSCubes). Sample i is one
+    single-sample forward pass on the i-th substream of SeedSequence(seed),
+    so it does not depend on N; the samples are views into one float32
+    [N,B,H,W] stack.
     """
     if n < 1:
         raise ParameterError(f"need at least one sample, got {n}")
@@ -87,27 +87,35 @@ def mc_infer(net: SRNet, cube, n: int, seed):
     if x.ndim != 3:
         raise DimensionError(f"expected a [B,h,w] cube, got shape {x.shape}")
     name = cube.name if isinstance(cube, HSCube) else ""
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
-    xb = np.repeat(x[None].astype(np.float32), n, axis=0)
-    stack = forward(net, Tensor(xb), "sample", rng=rngs)[0].data
+    b, h, w = x.shape
+    a = net.cfg.scale
+    xb = Tensor(x[None].astype(np.float32))
+    stack = np.empty((n, b, h * a, w * a), dtype=np.float32)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
+        # one statement, so the sample's outputs die before the next forward
+        stack[i] = forward(net, xb, "sample", rng=np.random.default_rng(child))[0].data[0]
     mean = np.clip(np.mean(stack, axis=0), 0.0, 1.0)
-    samples = [HSCube(np.ascontiguousarray(stack[i]), name=f"{name}_s{i}") for i in range(n)]
+    samples = [HSCube(stack[i], name=f"{name}_s{i}") for i in range(n)]
     return HSCube(mean.astype(np.float32), name=name), samples
 
 
 def uncertainty(samples: list, mean) -> UncertaintyMap:
     """Percentage of samples whose 1/255-discretized value disagrees with the
-    discretized mean, per pixel. Consumes no ground truth."""
+    discretized mean, per pixel. Consumes no ground truth.
+
+    Works one band at a time in float64, so its temporaries are band-sized."""
     if len(samples) < 2:
         raise ParameterError(f"uncertainty needs >= 2 samples, got {len(samples)}")
-    ref = _values(mean).astype(np.float64)
-    ref_bin = np.round(ref * 255.0) / 255.0
-    hits = np.zeros(ref.shape, dtype=np.float64)
-    for s in samples:
-        v = _values(s).astype(np.float64)
+    ref = _values(mean)
+    vals = [_values(s) for s in samples]
+    for v in vals:
         if v.shape != ref.shape:
             raise DimensionError(f"sample shape {v.shape} != mean shape {ref.shape}")
-        hits += np.round(v * 255.0) / 255.0 != ref_bin
+    hits = np.zeros(ref.shape, dtype=np.int32)
+    for b in range(ref.shape[0]):
+        ref_bin = np.round(ref[b].astype(np.float64) * 255.0) / 255.0
+        for v in vals:
+            hits[b] += np.round(v[b].astype(np.float64) * 255.0) / 255.0 != ref_bin
     return UncertaintyMap(100.0 * hits / len(samples), n_samples=len(samples))
 
 
@@ -138,17 +146,38 @@ def _gauss_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
     return w / w.sum()
 
 
-def _smooth_valid(img: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # separable valid-region filtering via banded operator matrices
+_SMOOTH_BLOCK = 32  # output rows per Toeplitz block in _smooth_valid
+
+
+def _toeplitz_block(w: np.ndarray) -> np.ndarray:
+    """[B, B+k-1] operator whose row i holds the window at columns i..i+k-1."""
     k = w.size
-    h, wd = img.shape
-    rows = np.zeros((h - k + 1, h))
-    for i in range(h - k + 1):
-        rows[i, i:i + k] = w
-    cols = np.zeros((wd - k + 1, wd))
-    for i in range(wd - k + 1):
-        cols[i, i:i + k] = w
-    return rows @ img @ cols.T
+    blk = np.zeros((_SMOOTH_BLOCK, _SMOOTH_BLOCK + k - 1))
+    rows = np.arange(_SMOOTH_BLOCK)
+    for t in range(k):
+        blk[rows, rows + t] = w[t]
+    return blk
+
+
+def _smooth_valid(maps: np.ndarray, blk: np.ndarray) -> np.ndarray:
+    """Separable valid-region filtering of stacked maps [M, H, W].
+
+    Each axis is filtered in blocks of up to B outputs: a block of r outputs
+    is the top-left [r, r+k-1] corner of the Toeplitz block times the r+k-1
+    inputs it reads, so no multiply touches the operator's zero band.
+    """
+    ext = blk.shape[1] - blk.shape[0]  # k - 1
+    m, h, wd = maps.shape
+    ho, wo = h - ext, wd - ext
+    rows = np.empty((m, ho, wd))
+    for r0 in range(0, ho, _SMOOTH_BLOCK):
+        r = min(_SMOOTH_BLOCK, ho - r0)
+        rows[:, r0:r0 + r] = blk[:r, :r + ext] @ maps[:, r0:r0 + r + ext]
+    out = np.empty((m, ho, wo))
+    for c0 in range(0, wo, _SMOOTH_BLOCK):
+        c = min(_SMOOTH_BLOCK, wo - c0)
+        out[:, :, c0:c0 + c] = rows[:, :, c0:c0 + c + ext] @ blk[:c, :c + ext].T
+    return out
 
 
 def mssim(pred, ref, window: int = 11, sigma: float = 1.5) -> float:
@@ -160,15 +189,14 @@ def mssim(pred, ref, window: int = 11, sigma: float = 1.5) -> float:
             f"mssim needs extents >= {window}, got {p.shape[1]}x{p.shape[2]}"
         )
     c1, c2 = 0.01 ** 2, 0.03 ** 2
-    w = _gauss_window(window, sigma)
+    blk = _toeplitz_block(_gauss_window(window, sigma))
     scores = []
     for b in range(p.shape[0]):
         x, y = p[b], r[b]
-        mu_x = _smooth_valid(x, w)
-        mu_y = _smooth_valid(y, w)
-        var_x = _smooth_valid(x * x, w) - mu_x * mu_x
-        var_y = _smooth_valid(y * y, w) - mu_y * mu_y
-        cov = _smooth_valid(x * y, w) - mu_x * mu_y
+        mu_x, mu_y, s_xx, s_yy, s_xy = _smooth_valid(np.stack([x, y, x * x, y * y, x * y]), blk)
+        var_x = s_xx - mu_x * mu_x
+        var_y = s_yy - mu_y * mu_y
+        cov = s_xy - mu_x * mu_y
         num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
         den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
         scores.append(np.mean(num / den))

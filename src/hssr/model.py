@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .gating import MODES, GateParams, init_gate, mask_for, sample_hard
+from .gating import MODES, GateParams, init_gate, mask_for
 from .tensor import (
     Graph,
     Param,
@@ -207,21 +207,12 @@ def parameters(net: SRNet) -> list:
 # ---------------------------------------------------------------------------
 # mask plumbing
 #
-# In train/warmup/expect modes a gate yields one [1,C,1,1] mask broadcast
-# over the batch. In sample mode the caller may pass a list of generators,
-# one per batch row; each row then gets its own hard mask, drawn in row
-# order so a batched pass consumes each generator exactly like a sequential
-# pass of that row would.
-
-
-def _batched_rngs(mode: str, rng) -> bool:
-    return mode == "sample" and isinstance(rng, (list, tuple))
+# A gate yields one [1,C,1,1] mask broadcast over the batch. Monte-Carlo
+# inference runs one single-sample forward per substream, so every sample
+# draws its own hard masks.
 
 
 def _agg_mask(gate: GateParams, mode: str, rng, graph: Graph):
-    if _batched_rngs(mode, rng):
-        rows = np.stack([sample_hard(gate, r).data for r in rng])
-        return Tensor(rows[:, :, None, None])
     m = mask_for(gate, mode, rng, graph)
     return reshape(m, (1, gate.channels, 1, 1))
 
@@ -229,9 +220,6 @@ def _agg_mask(gate: GateParams, mode: str, rng, graph: Graph):
 def _unit_masks(gate: GateParams, mode: str, rng, graph: Graph):
     c2 = gate.channels
     c = c2 // 2
-    if _batched_rngs(mode, rng):
-        rows = np.stack([sample_hard(gate, r).data for r in rng])
-        return Tensor(rows[:, :c, None, None]), Tensor(rows[:, c:, None, None])
     m = mask_for(gate, mode, rng, graph)
     m1 = reshape(slice1d(m, 0, c), (1, c, 1, 1))
     m2 = reshape(slice1d(m, c, c2), (1, c, 1, 1))
@@ -306,8 +294,8 @@ def forward(net: SRNet, x, mode: str, rng=None, graph: Graph = None):
         raise DimensionError(f"forward input must be [N,B,h,w], got {x.shape}")
     if x.shape[1] != net.cfg.bands:
         raise DimensionError(f"input has {x.shape[1]} bands, config says {net.cfg.bands}")
-    if _batched_rngs(mode, rng) and len(rng) != x.shape[0]:
-        raise ParameterError(f"{len(rng)} generators for batch of {x.shape[0]}")
+    if mode in ("train", "sample") and not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"{mode} mode needs a numpy Generator, got {type(rng).__name__}")
     a = net.cfg.scale
     n, b, h, w = x.shape
     base = bicubic_resize(x.detach(), h * a, w * a)

@@ -1,7 +1,9 @@
 """End-to-end command-line pipeline: prepare, train, sr, uncertainty, eval."""
 
+import gc
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +244,35 @@ class TestInferenceCommands:
             assert rc == 0
             outs.append((tmp_path / sub).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_sr_peak_memory_does_not_grow_with_cube_count(self, run_dir, tmp_path):
+        # 32x32 LR cubes: one output cube (3x64x64 float32, 48 KiB) is large
+        # against interpreter bookkeeping, and N=8 samples make a stack kept
+        # from the previous cube show as 8 cubes
+        rng = np.random.default_rng(4)
+        dirs = {}
+        for names in (["a"], ["a", "b"]):
+            d = dirs[len(names)] = tmp_path / f"in{len(names)}"
+            d.mkdir()
+            for name in names:
+                write_cube(random_smooth_cube(3, 32, 32, rng, name=name), d / f"{name}.hsc")
+
+        def peak(n_cubes):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main([
+                    "sr", "--checkpoint", str(run_dir / "checkpoint.pdec"),
+                    "--input", str(dirs[n_cubes]), "--n-samples", "8",
+                    "--out", str(tmp_path / f"pred{n_cubes}"),
+                ]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm up lazily built state
+        one, two = peak(1), peak(2)
+        assert two <= one + 4 * 3 * 64 * 64, (one, two)
 
     def test_uncertainty_map(self, run_dir, data_dir, tmp_path):
         src = next(iter(sorted((data_dir / "lr" / "test").glob("*.hsc"))))

@@ -1,5 +1,8 @@
 """Monte-Carlo inference, uncertainty maps, metrics, and reports."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -71,6 +74,25 @@ class TestMcInfer:
             np.testing.assert_array_equal(
                 mean_b.values,
                 np.clip(np.mean(np.stack(seq), axis=0), 0.0, 1.0).astype(np.float32))
+
+    def test_peak_memory_grows_only_by_the_output_cubes(self, rng):
+        # one sample's activations at a time: going from N=1 to N=8 adds the
+        # 7 extra cubes of the returned stack, plus one cube of slack for
+        # interpreter bookkeeping
+        net = small_net()
+        cube = _cube(rng, h=32, w=32)
+        mc_infer(net, cube, n=1, seed=0)  # warm up lazily built state
+        peaks = {}
+        for n in (1, 8):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                mc_infer(net, cube, n=n, seed=0)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        out_cube = 4 * 3 * 64 * 64
+        assert peaks[8] - peaks[1] <= 8 * out_cube, peaks
 
     def test_seed_reproducibility(self, rng):
         net = small_net()

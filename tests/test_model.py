@@ -266,16 +266,6 @@ class TestForward:
         b, _ = forward(net, x, "warmup")
         np.testing.assert_array_equal(a.data, b.data)
 
-    def test_batched_sampling_equals_per_row(self, rng):
-        net = small_net()
-        x = rng.uniform(size=(3, 3, 6, 6)).astype(np.float32)
-        batched, _ = forward(net, x, "sample",
-                             rng=[np.random.default_rng(s) for s in (5, 6, 7)])
-        for i, s in enumerate((5, 6, 7)):
-            row, _ = forward(net, x[i:i + 1], "sample",
-                             rng=[np.random.default_rng(s)])
-            np.testing.assert_array_equal(batched.data[i], row.data[0])
-
     def test_input_validation(self, rng):
         net = small_net()
         x = rng.uniform(size=(1, 3, 6, 6)).astype(np.float32)
@@ -285,8 +275,14 @@ class TestForward:
             forward(net, x[0], "warmup")
         with pytest.raises(DimensionError):
             forward(net, rng.uniform(size=(1, 5, 6, 6)).astype(np.float32), "warmup")
-        with pytest.raises(ParameterError):
-            forward(net, x, "sample", rng=[np.random.default_rng(0)] * 2)
+
+    @pytest.mark.parametrize("mode", ["train", "sample"])
+    def test_rng_must_be_a_generator(self, rng, mode):
+        net = small_net()
+        x = rng.uniform(size=(1, 3, 6, 6)).astype(np.float32)
+        for bad in (None, 0, np.random.SeedSequence(0), [np.random.default_rng(0)]):
+            with pytest.raises(ParameterError):
+                forward(net, x, mode, rng=bad)
 
 
 class TestLoss:
