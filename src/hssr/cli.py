@@ -24,6 +24,7 @@ from .hsdata import (
     make_lr,
     read_cube,
     read_manifest,
+    read_text,
     write_cube,
     write_manifest,
 )
@@ -78,7 +79,7 @@ def read_run_config(path, overrides=()) -> dict:
     """Parse a key=value config file; unknown keys are rejected."""
     path = Path(path)
     values = {}
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
+    for ln, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

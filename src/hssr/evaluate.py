@@ -5,9 +5,10 @@ from one seed) and averages the N reconstructions. The samples run one
 single-sample forward pass at a time, so network activations exist for one
 sample at once and memory grows with N only by the N output cubes.
 
-All metrics are computed in float64. MPSNR averages per-band PSNR (peak 1),
-MSSIM averages per-band SSIM with the reference 11x11 Gaussian window, and
-SAM is the mean per-pixel spectral angle in degrees.
+All metrics are computed in float64, one band at a time, so their
+temporaries are band-sized. MPSNR averages per-band PSNR (peak 1), MSSIM
+averages per-band SSIM with the reference 11x11 Gaussian window, and SAM is
+the mean per-pixel spectral angle in degrees.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def uncertainty(samples: list, mean) -> UncertaintyMap:
 
 
 def _pair(a, b, op: str):
-    av, bv = _values(a).astype(np.float64), _values(b).astype(np.float64)
+    av, bv = _values(a), _values(b)
     if av.shape != bv.shape:
         raise DimensionError(f"{op}: shapes {av.shape} and {bv.shape} differ")
     if av.ndim != 3:
@@ -135,7 +136,8 @@ def _pair(a, b, op: str):
 def mpsnr(pred, ref) -> float:
     """Mean over bands of PSNR against peak 1.0; zero error scores 100 dB."""
     p, r = _pair(pred, ref, "mpsnr")
-    mse = np.mean((p - r) ** 2, axis=(1, 2))
+    mse = np.array([np.mean((p[b].astype(np.float64) - r[b].astype(np.float64)) ** 2)
+                    for b in range(p.shape[0])])
     out = np.where(mse > 0, 10.0 * np.log10(1.0 / np.maximum(mse, 1e-300)), _PSNR_CAP)
     return float(np.mean(out))
 
@@ -192,7 +194,7 @@ def mssim(pred, ref, window: int = 11, sigma: float = 1.5) -> float:
     blk = _toeplitz_block(_gauss_window(window, sigma))
     scores = []
     for b in range(p.shape[0]):
-        x, y = p[b], r[b]
+        x, y = p[b].astype(np.float64), r[b].astype(np.float64)
         mu_x, mu_y, s_xx, s_yy, s_xy = _smooth_valid(np.stack([x, y, x * x, y * y, x * y]), blk)
         var_x = s_xx - mu_x * mu_x
         var_y = s_yy - mu_y * mu_y
@@ -212,10 +214,17 @@ def sam(pred, ref) -> float:
     the norms must not manufacture a positive angle out of identical inputs.
     """
     p, r = _pair(pred, ref, "sam")
-    dot = np.sum(p * r, axis=0)
-    den = np.maximum(np.linalg.norm(p, axis=0) * np.linalg.norm(r, axis=0), 1e-8)
+    x, y = p[0].astype(np.float64), r[0].astype(np.float64)
+    dot, pp, rr, same = x * y, x * x, y * y, x == y
+    for b in range(1, p.shape[0]):
+        x, y = p[b].astype(np.float64), r[b].astype(np.float64)
+        dot += x * y
+        pp += x * x
+        rr += y * y
+        same &= x == y
+    den = np.maximum(np.sqrt(pp) * np.sqrt(rr), 1e-8)
     ang = np.degrees(np.arccos(np.clip(dot / den, -1.0, 1.0)))
-    ang = np.where((p == r).all(axis=0), 0.0, ang)
+    ang = np.where(same, 0.0, ang)
     return float(np.mean(ang))
 
 

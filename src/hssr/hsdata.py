@@ -32,6 +32,7 @@ __all__ = [
     "read_manifest",
     "write_manifest",
     "atomic_write",
+    "read_text",
     "lr_counterpart",
     "extract_patches",
     "augment",
@@ -105,6 +106,16 @@ def atomic_write(path, chunks) -> None:
         raise
 
 
+def read_text(path) -> str:
+    """The text of `path` decoded as UTF-8, the encoding atomic_write's
+    text callers write; FormatError if it is not valid UTF-8."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not valid UTF-8 ({e.reason} at byte {e.start})") from None
+
+
 def write_cube(cube: HSCube, path) -> None:
     """Serialize to the HSC1 container; the write is atomic (see atomic_write)."""
     vals = np.asarray(cube.values)
@@ -167,7 +178,7 @@ def read_manifest(path) -> DatasetManifest:
     man = DatasetManifest()
     seen = set()
     meta_keys = {"scale", "patch", "stride", "seed"}
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
+    for ln, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

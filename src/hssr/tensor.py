@@ -423,8 +423,9 @@ def concat_channels(tensors: Sequence) -> Tensor:
 # convolution
 
 
-# Byte budget of the dense forward's column buffer: half of a 2 MiB per-core
-# L2, so the gathered block is still in cache when the matmul reads it.
+# Byte budget of the dense conv's column buffer, forward and backward: half
+# of a 2 MiB per-core L2, so the gathered block is still in cache when the
+# matmul reads it.
 # Swept at the sr tail, head and degrade shapes on 1 BLAS thread (medians in
 # CHANGES.md): 512 KiB ran the head ~13% slower (narrower matmuls), 2 MiB
 # ran the 128x128 tail ~8% slower, and a whole-plane buffer ran it 1.9x slower.
@@ -435,11 +436,46 @@ def _conv_out_extent(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
 
 
-def _gather(src: np.ndarray, taps: list, cols: np.ndarray) -> np.ndarray:
-    """Copy each tap of `src` [..., C, Hp, Wp] into `cols` [..., T, C, Ho, Wo]."""
-    for t, (ys, xs) in enumerate(taps):
-        cols[..., t, :, :, :] = src[..., ys, xs]
-    return cols
+def _clip(off: int, stride: int, padding: int, size: int, lo: int, hi: int):
+    """Output positions lo <= o < hi whose input stride*o + off - padding
+    lies in [0, size), as (input slice, output slice relative to lo), or
+    None if there are none."""
+    a = max(lo, -((off - padding) // stride))
+    b = min(hi, (size - 1 + padding - off) // stride + 1)
+    if a >= b:
+        return None
+    s0 = stride * a + off - padding
+    return slice(s0, s0 + stride * (b - a - 1) + 1, stride), slice(a - lo, b - lo)
+
+
+def _taps(kh: int, kw: int, stride: int, padding: int, h: int, w: int,
+          r0: int, r1: int, wo: int) -> list:
+    """The in-bounds part of each kernel tap over output rows r0..r1-1.
+
+    Entries are (t, (input rows, input cols), (output rows - r0, output
+    cols)) for tap t = i*kw + j. A tap that reads only padding there is left
+    out; output positions whose input lies in the padding are not covered.
+    """
+    xcl = [_clip(j, stride, padding, w, 0, wo) for j in range(kw)]
+    taps = []
+    for i in range(kh):
+        ycl = _clip(i, stride, padding, h, r0, r1)
+        for j in range(kw):
+            if ycl and xcl[j]:
+                taps.append((i * kw + j, (ycl[0], xcl[j][0]), (ycl[1], xcl[j][1])))
+    return taps
+
+
+def _gather(src: np.ndarray, taps: list, cols: np.ndarray) -> None:
+    """Copy each tap of `src` [C, H, W] into its rectangle of `cols` [T, C, r, Wo]."""
+    for t, (ys, xs), (dy, dx) in taps:
+        cols[t, :, dy, dx] = src[:, ys, xs]
+
+
+def _scatter(cols: np.ndarray, taps: list, dst: np.ndarray) -> None:
+    """Add each tap's rectangle of `cols` [T, C, r, Wo] into `dst` [C, H, W]."""
+    for t, (ys, xs), (dy, dx) in taps:
+        dst[:, ys, xs] += cols[t, :, dy, dx]
 
 
 def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
@@ -456,16 +492,20 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
 
     Output extent per axis is floor((size + 2*padding - k)/stride) + 1.
 
-    Forward and both gradients walk the same kernel taps: tap (i, j) is the
-    strided slice padded[..., i::stride, j::stride] of output extent. Dense
-    convs copy one sample's taps into a [kh*kw*Cin, rows*Wo] column buffer
-    and multiply it straight into the output, sample by sample and in blocks
-    of output rows: the fewest equal blocks whose buffer fits in _COLS_BYTES
-    (the last block may be shorter), so the buffer is still in cache when the
-    matmul reads it. The block plan depends on the layer and output shapes
-    only, never on the batch size, so a sample's result does not depend on
-    its batch. Depthwise convs do one multiply-add per tap. The backward
-    gathers whole planes.
+    Forward and both gradients walk the same kernel taps, clipped to the
+    input: tap (i, j) covers only the outputs whose input row
+    stride*y + i - padding and column stride*x + j - padding are in bounds,
+    so no padded copy of the input is made. Dense convs work sample by
+    sample in blocks of output rows, the fewest equal blocks whose
+    [kh*kw*Cin, rows*Wo] column buffer fits in _COLS_BYTES (the last block
+    may be shorter), so the buffer is still in cache when the matmul reads
+    it. Per block, the forward copies each tap's rectangle into the buffer,
+    whose uncovered strips stay zero, and multiplies it into the output; the
+    backward gathers the same columns for the kernel gradient, multiplies
+    the output gradient back into the buffer and adds each tap's rectangle
+    into the input gradient. The block plan depends on the layer and output
+    shapes only, never on the batch size, so a sample's result does not
+    depend on its batch. Depthwise convs do one multiply-add per tap.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     _check_dtypes("conv2d", x, kernel, bias)
@@ -499,31 +539,29 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
         )
 
     xd, kd = x.data, kernel.data
-    padded = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
     ho = _conv_out_extent(h, kh, stride, padding)
     wo = _conv_out_extent(w, kw, stride, padding)
-    taps = [(slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
-            for i in range(kh) for j in range(kw)]
-    ntap = len(taps)
+    ntap = kh * kw
     if depthwise:
         ktap = kd.reshape(cout, ntap).T[:, None, :, None, None]  # [T, 1, C, 1, 1] view
         out = np.zeros((n, cout, ho, wo), dtype=xd.dtype)
-        for (ys, xs), k_t in zip(taps, ktap):
-            out += padded[:, :, ys, xs] * k_t
+        for t, (ys, xs), (dy, dx) in _taps(kh, kw, stride, padding, h, w, 0, ho, wo):
+            out[:, :, dy, dx] += xd[:, :, ys, xs] * ktap[t]
     else:
-        kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
-        out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
         # rows per block: the fewest equal blocks whose buffer fits the budget
         rows = max(1, _COLS_BYTES // (ntap * cin * wo * xd.itemsize))
         rows = -(-ho // -(-ho // rows))
+        blocks = [(r0, min(rows, ho - r0)) for r0 in range(0, ho, rows)]
+        kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
+        out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
         buf = np.empty(ntap * cin * rows * wo, dtype=xd.dtype)
-        for r0 in range(0, ho, rows):
-            r = min(rows, ho - r0)
-            btaps = [(slice(ys.start + stride * r0, ys.start + stride * (r0 + r), stride), xs)
-                     for ys, xs in taps]
+        for r0, r in blocks:
+            taps = _taps(kh, kw, stride, padding, h, w, r0, r0 + r, wo)
             cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
+            if padding:  # zero the strips that no tap covers
+                cols.fill(0)
             for b in range(n):
-                _gather(padded[b], btaps, cols)
+                _gather(xd[b], taps, cols)
                 np.matmul(kmat, cols.reshape(ntap * cin, r * wo),
                           out=out[b].reshape(cout, ho * wo)[:, r0 * wo:(r0 + r) * wo])
     out += bias.data.reshape(1, cout, 1, 1)
@@ -533,29 +571,45 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
         need_k = kernel.graph is not None
         need_b = bias.graph is not None
 
-        # keeps `padded` and the kernel data only; column buffers and the
-        # permuted kernel are rebuilt here, so the tape does not hold them
+        # keeps the unpadded input and the kernel data only; taps, column
+        # buffers and the permuted kernel are rebuilt here, so the tape does
+        # not hold them
         def grad_fn(go):
             gb = go.sum(axis=(0, 2, 3)) if need_b else None
             gk = gx = None
-            go3 = go.reshape(n, cout, ho * wo)
-            if need_k and depthwise:
-                gk = np.stack([np.einsum("nchw,nchw->c", padded[:, :, ys, xs], go)
-                               for ys, xs in taps], axis=1).reshape(kd.shape)
-            elif need_k:
-                cols = _gather(padded, taps, np.empty((n, ntap, cin, ho, wo), dtype=go.dtype))
-                gkm = (go3 @ cols.reshape(n, ntap * cin, ho * wo).transpose(0, 2, 1)).sum(axis=0)
-                gk = gkm.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
             if need_x:
-                if depthwise:
-                    parts = (go * k_t for k_t in ktap)
-                else:
-                    kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
-                    parts = np.matmul(kmat.T, go3).reshape(n, ntap, cin, ho, wo).swapaxes(0, 1)
-                gpad = np.zeros_like(padded)
-                for (ys, xs), part in zip(taps, parts):
-                    gpad[:, :, ys, xs] += part
-                gx = gpad[:, :, padding:padding + h, padding:padding + w]
+                gx = np.zeros_like(xd)
+            if depthwise:
+                taps = _taps(kh, kw, stride, padding, h, w, 0, ho, wo)
+                if need_k:
+                    gk = np.zeros((cout, ntap), dtype=go.dtype)
+                    for t, (ys, xs), (dy, dx) in taps:
+                        gk[:, t] = np.einsum("nchw,nchw->c", xd[:, :, ys, xs], go[:, :, dy, dx])
+                    gk = gk.reshape(kd.shape)
+                if need_x:
+                    for t, (ys, xs), (dy, dx) in taps:
+                        gx[:, :, ys, xs] += go[:, :, dy, dx] * ktap[t]
+                return (gx, gk, gb)
+            kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
+            gkm = np.zeros((cout, ntap * cin), dtype=go.dtype) if need_k else None
+            go3 = go.reshape(n, cout, ho * wo)
+            buf = np.empty(ntap * cin * rows * wo, dtype=go.dtype)
+            for r0, r in blocks:
+                taps = _taps(kh, kw, stride, padding, h, w, r0, r0 + r, wo)
+                cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
+                cmat = cols.reshape(ntap * cin, r * wo)
+                for b in range(n):
+                    go_blk = go3[b, :, r0 * wo:(r0 + r) * wo]
+                    if need_k:
+                        if padding:  # zero the strips; the input gradient writes over them
+                            cols.fill(0)
+                        _gather(xd[b], taps, cols)
+                        gkm += go_blk @ cmat.T
+                    if need_x:
+                        np.matmul(kmat.T, go_blk, out=cmat)
+                        _scatter(cols, taps, gx[b])
+            if need_k:
+                gk = gkm.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
             return (gx, gk, gb)
 
         return grad_fn
@@ -631,7 +685,8 @@ def bicubic_resize_array(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bicubic resample of the trailing two axes of `arr`.
 
     Weights are computed in float64 and applied slice by slice, so a given
-    plane resamples identically no matter how it is batched.
+    plane resamples identically no matter how it is batched; each float64
+    plane is rounded straight into the result, which has the input's dtype.
     """
     if out_h < 1 or out_w < 1:
         raise ParameterError(f"bicubic_resize: target {out_h}x{out_w} must be positive")
@@ -641,10 +696,10 @@ def bicubic_resize_array(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     row_op = _resize_matrix(h, out_h)
     col_op = _resize_matrix(w, out_w).T
     flat = arr.reshape(-1, h, w)
-    out = np.empty((flat.shape[0], out_h, out_w), dtype=np.float64)
+    out = np.empty((flat.shape[0], out_h, out_w), dtype=arr.dtype)
     for i in range(flat.shape[0]):
         out[i] = row_op @ flat[i].astype(np.float64) @ col_op
-    return out.reshape(arr.shape[:-2] + (out_h, out_w)).astype(arr.dtype)
+    return out.reshape(arr.shape[:-2] + (out_h, out_w))
 
 
 def bicubic_resize(x, out_h: int, out_w: int) -> Tensor:

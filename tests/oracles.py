@@ -34,6 +34,34 @@ def conv2d_loop(x, k, b, stride=1, padding=0, groups=1):
     return out
 
 
+def conv2d_loop_grads(x, k, go, stride=1, padding=0, groups=1):
+    """Gradients of sum(conv2d(x, k, b) * go) with respect to x, k and b,
+    accumulated one output window at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    go = np.asarray(go, dtype=np.float64)
+    n, cin, h, w = x.shape
+    cout, cg, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    gb = np.zeros(cout)
+    _, _, ho, wo = go.shape
+    cpg_out = cout // groups
+    for ni in range(n):
+        for co in range(cout):
+            g = co // cpg_out
+            for i in range(ho):
+                for j in range(wo):
+                    rows = slice(i * stride, i * stride + kh)
+                    cols = slice(j * stride, j * stride + kw)
+                    d = go[ni, co, i, j]
+                    gk[co] += d * xp[ni, g * cg:(g + 1) * cg, rows, cols]
+                    gxp[ni, g * cg:(g + 1) * cg, rows, cols] += d * k[co]
+                    gb[co] += d
+    return gxp[:, :, padding:padding + h, padding:padding + w], gk, gb
+
+
 def pixel_shuffle_loop(x, r):
     n, c2, h, w = x.shape
     c = c2 // (r * r)

@@ -114,6 +114,12 @@ class TestPrepare:
         ])
         assert rc == 3
 
+    def test_undecodable_manifest_is_config_error(self, raw_manifest, tmp_path):
+        bad = tmp_path / "manifest.txt"
+        bad.write_bytes(raw_manifest.read_bytes() + b"# \xff\n")
+        rc = main(["prepare", "--manifest", str(bad), "--out", str(tmp_path / "x")])
+        assert rc == 2
+
 
 class TestRunConfig:
     def test_defaults_and_types(self, tmp_path):
@@ -189,6 +195,11 @@ class TestTrainCommand:
     def test_bad_config_exit_code(self, data_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("manifest=manifest.txt\nbogus=1\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+
+    def test_undecodable_config_exit_code(self, data_dir, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"manifest=manifest.txt\n# \xff\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

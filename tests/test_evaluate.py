@@ -283,6 +283,24 @@ class TestReports:
         assert rep.mpsnr == pytest.approx(np.mean([r[1] for r in rep.rows]))
         assert rep.rows[1][1] == 100.0 and rep.rows[1][2] == 1.0 and rep.rows[1][3] == 0.0
 
+    def test_scoring_memory_does_not_grow_with_band_count(self, rng):
+        # the metrics work one float64 band at a time: scoring 31 bands takes
+        # no more transient memory than scoring 2, up to one float64 band
+        peaks = {}
+        for bands in (2, 31):
+            ref = rng.random((bands, 64, 64), dtype=np.float32)
+            pred = np.clip(ref + rng.normal(0, 0.05, ref.shape), 0, 1).astype(np.float32)
+            evaluate_pairs([("a", pred, ref)])  # warm up lazily built state
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                evaluate_pairs([("a", pred, ref)])
+                peaks[bands] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peaks[31] - peaks[2] <= 64 * 64 * 8, peaks
+
     def test_csv_layout(self, rng):
         lines = report_csv(self._report(rng)).splitlines()
         assert lines[0] == "cube,mpsnr,mssim,sam"

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import check_op_grad, gradcheck_all_ops, rel_err
-from oracles import bicubic_direct, conv2d_loop, pixel_shuffle_loop
+from oracles import bicubic_direct, conv2d_loop, conv2d_loop_grads, pixel_shuffle_loop
 
 from hssr import tensor
 from hssr.errors import DimensionError, ParameterError
@@ -106,13 +106,44 @@ class TestConv2d:
         assert out.shape == ref.shape
         assert np.abs(out.data - ref).max() < 1e-10
 
+    @pytest.mark.parametrize("stride,padding,groups,cin,cout,kk,h,w", [
+        (1, 1, 1, 3, 4, 3, 9, 7),  # 3x3 pad 1
+        (4, 2, 1, 3, 2, 5, 25, 21),  # degradation-like
+        (1, 2, 1, 2, 3, 5, 3, 3),  # some taps read only padding in a block
+        (1, 1, 4, 4, 4, 3, 5, 6),  # depthwise, every edge clipped
+    ])
+    def test_backward_matches_loop_oracle(self, rng, monkeypatch, stride, padding, groups,
+                                          cin, cout, kk, h, w):
+        x = rng.uniform(-1, 1, (2, cin, h, w))
+        k = rng.uniform(-1, 1, (cout, cin // groups, kk, kk))
+        b = rng.uniform(-1, 1, cout)
+        wo = (w + 2 * padding - kk) // stride + 1
+        # a budget of two output rows' column buffer
+        monkeypatch.setattr(tensor, "_COLS_BYTES", 2 * kk * kk * cin * wo * x.itemsize)
+        rows = []
+        gather = tensor._gather
+
+        def spy(src, taps, cols):
+            rows.append(cols.shape[-2])
+            return gather(src, taps, cols)
+
+        monkeypatch.setattr(tensor, "_gather", spy)
+        g = Graph()
+        xt, kt, bt = g.leaf(x), g.leaf(k), g.leaf(b)
+        out = conv2d(xt, kt, bt, stride=stride, padding=padding, groups=groups)
+        go = rng.uniform(-1, 1, out.shape)
+        grads = backward(sum_all(mul(out, Tensor(go))))
+        assert groups > 1 or max(rows) == 2  # the backward runs in the forward's blocks
+        for t, ref in zip((xt, kt, bt), conv2d_loop_grads(x, k, go, stride, padding, groups)):
+            assert grads[t.node_id].shape == ref.shape
+            assert np.abs(grads[t.node_id] - ref).max() < 1e-10
+
     def test_column_buffer_fits_the_budget(self, rng):
-        # at the sr tail shape the dense forward allocates, beyond its padded
-        # input and its output, at most one _COLS_BYTES column buffer
+        # at the sr tail shape the dense forward allocates, beyond its
+        # output, at most one _COLS_BYTES column buffer: no padded copy
         x = Tensor(rng.random((2, 31, 128, 128), dtype=np.float32))
         k = Tensor(rng.random((31, 31, 3, 3), dtype=np.float32))
         b = Tensor(np.zeros(31, np.float32))
-        padded_bytes = 2 * 31 * 130 * 130 * 4
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -120,7 +151,27 @@ class TestConv2d:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak - padded_bytes - out.data.nbytes <= tensor._COLS_BYTES
+        assert peak - out.data.nbytes <= tensor._COLS_BYTES
+
+    def test_dense_backward_fits_two_buffers(self, rng):
+        # at the train tail shape the dense backward allocates, beyond its
+        # input and kernel gradients, at most two _COLS_BYTES buffers
+        g = Graph()
+        x = g.leaf(rng.random((4, 31, 32, 32), dtype=np.float32))
+        k = g.leaf(rng.random((31, 31, 3, 3), dtype=np.float32))
+        b = g.leaf(np.zeros(31, np.float32))
+        out = conv2d(x, k, b, padding=1)
+        grad_fn = g.nodes[out.node_id].grad_fn
+        go = rng.random(out.shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gx, gk, _ = grad_fn(go)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == x.shape and gk.shape == k.shape
+        assert peak - gx.nbytes - gk.nbytes <= 2 * tensor._COLS_BYTES
 
     def test_depthwise_equals_per_channel_correlation(self, rng):
         x = rng.uniform(-1, 1, (1, 3, 6, 6))
@@ -256,6 +307,20 @@ class TestBicubic:
         full = bicubic_resize_array(arr, 16, 16)
         for i in range(4):
             np.testing.assert_array_equal(full[i], bicubic_resize_array(arr[i], 16, 16))
+
+    def test_result_is_the_only_cube_allocated(self, rng):
+        # float64 planes are rounded straight into the float32 result: beyond
+        # it, resampling 64x64 -> 256x256 holds at most two float64 planes
+        lr = rng.random((31, 64, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            up = bicubic_resize_array(lr, 256, 256)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert up.dtype == np.float32
+        assert peak - up.nbytes <= 2 * 256 * 256 * 8
 
     def test_rejects_tracked_input(self, rng):
         g = Graph()
