@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError, TrainingError
-from .evaluate import evaluate_pairs, mc_infer, report_csv, report_text, uncertainty
+from .evaluate import evaluate_pairs, mc_infer, mc_mean, report_csv, report_text, uncertainty
 from .hsdata import (
     DatasetManifest,
     HSCube,
@@ -195,15 +195,15 @@ def cmd_sr(args) -> int:
         Path(args.save_samples).mkdir(parents=True, exist_ok=True)
     for f in files:
         cube = read_cube(f)
-        mean, samples = mc_infer(net, cube, args.n_samples, args.seed)
         target = out / f.name if in_path.is_dir() else out
-        write_cube(mean, target)
+        write_cube(mc_mean(net, cube, args.n_samples, args.seed), target)
         if args.save_samples:
+            _, samples = mc_infer(net, cube, args.n_samples, args.seed)
             for i, s in enumerate(samples):
                 clipped = HSCube(np.clip(s.values, 0.0, 1.0), name=s.name)
                 write_cube(clipped, Path(args.save_samples) / f"{f.stem}_s{i}.hsc")
-        # drop this cube's N-sample stack before the next mc_infer allocates its own
-        del mean, samples
+            # drop this cube's N-sample stack before the next mc_infer allocates its own
+            del samples
     print(f"super-resolved {len(files)} cube(s) -> {out}")
     return 0
 
@@ -224,39 +224,42 @@ def cmd_uncertainty(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    pred_dir = Path(args.pred_dir)
-    gt_dir = Path(args.gt_dir)
-    pairs = []
-    for f in _cube_files(pred_dir):
+def _eval_pairs(files: list, gt_dir: Path):
+    """(name, prediction, ground truth) per file, read one pair at a time."""
+    for f in files:
         gt_file = gt_dir / f.name
         if not gt_file.exists():
             raise ParameterError(f"no ground-truth cube for {f.name} in {gt_dir}")
-        pairs.append((f.stem, read_cube(f), read_cube(gt_file)))
-    rep = evaluate_pairs(pairs)
+        yield f.stem, read_cube(f), read_cube(gt_file)
+
+
+def _bicubic_pairs(files: list, gt_dir: Path, lr_dir: Path):
+    """(name, clamped bicubic upsampling of the LR cube, ground truth) per file."""
+    for f in files:
+        lr_file = lr_dir / f"{f.stem}.hsc"
+        if not lr_file.exists():
+            raise ParameterError(f"no LR cube for {f.stem} in {lr_dir}")
+        gt, lr = read_cube(gt_dir / f.name), read_cube(lr_file)
+        if gt.height % lr.height or gt.width % lr.width:
+            raise DimensionError(
+                f"{f.stem}: ground truth {gt.height}x{gt.width} is not an integer "
+                f"multiple of LR {lr.height}x{lr.width}"
+            )
+        up = np.clip(bicubic_resize_array(lr.values, gt.height, gt.width), 0.0, 1.0)
+        yield f.stem, HSCube(up.astype(np.float32)), gt
+
+
+def cmd_eval(args) -> int:
+    gt_dir = Path(args.gt_dir)
+    files = _cube_files(Path(args.pred_dir))
+    rep = evaluate_pairs(_eval_pairs(files, gt_dir))
     report_path = Path(args.report)
     if report_path.parent:
         report_path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write(report_path, [report_csv(rep).encode()])
     sys.stdout.write(report_text(rep))
     if args.baseline_bicubic:
-        lr_dir = Path(args.baseline_bicubic)
-        base_pairs = []
-        for name, _pred, gt in pairs:
-            lr_file = lr_dir / f"{name}.hsc"
-            if not lr_file.exists():
-                raise ParameterError(f"no LR cube for {name} in {lr_dir}")
-            lr = read_cube(lr_file)
-            if gt.height % lr.height or gt.width % lr.width:
-                raise DimensionError(
-                    f"{name}: ground truth {gt.height}x{gt.width} is not an integer "
-                    f"multiple of LR {lr.height}x{lr.width}"
-                )
-            up = np.clip(
-                bicubic_resize_array(lr.values, gt.height, gt.width), 0.0, 1.0
-            )
-            base_pairs.append((name, HSCube(up.astype(np.float32)), gt))
-        base_rep = evaluate_pairs(base_pairs)
+        base_rep = evaluate_pairs(_bicubic_pairs(files, gt_dir, Path(args.baseline_bicubic)))
         base_path = report_path.with_name(report_path.stem + "_bicubic" + report_path.suffix)
         atomic_write(base_path, [report_csv(base_rep).encode()])
         sys.stdout.write("bicubic baseline:\n" + report_text(base_rep))

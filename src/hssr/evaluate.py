@@ -1,9 +1,13 @@
 """Monte-Carlo inference, epistemic uncertainty, and image-quality metrics.
 
 Inference draws N hard gate configurations (independent substreams spawned
-from one seed) and averages the N reconstructions. The samples run one
-single-sample forward pass at a time, so network activations exist for one
-sample at once and memory grows with N only by the N output cubes.
+from one seed) and averages the N reconstructions. `mc_mean` returns only
+the clamped mean: each sample runs the gated LR half of every stage, and the
+affine HR half (head, pixel shuffle, tail) runs once per stage on the mean
+features, so no HR sample is built and memory does not grow with N.
+`mc_infer` also returns every sample, for uncertainty maps and sample
+export: it runs one single-sample HR estimate at a time, so memory grows
+with N only by the N output cubes.
 
 All metrics are computed in float64, one band at a time, so their
 temporaries are band-sized. MPSNR averages per-band PSNR (peak 1), MSSIM
@@ -19,12 +23,13 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .hsdata import HSCube
-from .model import SRNet, forward
+from .model import SRNet, estimate, mean_estimate
 from .tensor import Tensor
 
 __all__ = [
     "UncertaintyMap",
     "MetricsReport",
+    "mc_mean",
     "mc_infer",
     "uncertainty",
     "mpsnr",
@@ -74,27 +79,47 @@ def _values(x) -> np.ndarray:
 # inference
 
 
-def mc_infer(net: SRNet, cube, n: int, seed):
-    """N stochastic reconstructions and their clamped mean.
-
-    Returns (mean HSCube, list of N sample HSCubes). Sample i is one
-    single-sample forward pass on the i-th substream of SeedSequence(seed),
-    so it does not depend on N; the samples are views into one float32
-    [N,B,H,W] stack.
-    """
+def _lr_input(cube, n: int):
     if n < 1:
         raise ParameterError(f"need at least one sample, got {n}")
     x = _values(cube)
     if x.ndim != 3:
         raise DimensionError(f"expected a [B,h,w] cube, got shape {x.shape}")
     name = cube.name if isinstance(cube, HSCube) else ""
-    b, h, w = x.shape
+    return Tensor(x[None].astype(np.float32)), name
+
+
+def _sample_rngs(n: int, seed):
+    return (np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n))
+
+
+def mc_mean(net: SRNet, cube, n: int, seed) -> HSCube:
+    """The clamped mean of `mc_infer`'s N samples, without building them.
+
+    Sample i draws its gates from the i-th substream of SeedSequence(seed),
+    as in `mc_infer`; the result matches `mc_infer`'s mean to float32
+    rounding (the affine half runs once, on the mean features).
+    """
+    xb, name = _lr_input(cube, n)
+    y = mean_estimate(net, xb, _sample_rngs(n, seed)).data[0]
+    return HSCube(np.clip(y, 0.0, 1.0).astype(np.float32), name=name)
+
+
+def mc_infer(net: SRNet, cube, n: int, seed):
+    """N stochastic reconstructions and their clamped mean.
+
+    Returns (mean HSCube, list of N sample HSCubes). Sample i is one
+    single-sample HR estimate on the i-th substream of SeedSequence(seed),
+    so it does not depend on N; the samples are views into one float32
+    [N,B,H,W] stack.
+    """
+    xb, name = _lr_input(cube, n)
+    _, b, h, w = xb.shape
     a = net.cfg.scale
-    xb = Tensor(x[None].astype(np.float32))
     stack = np.empty((n, b, h * a, w * a), dtype=np.float32)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
-        # one statement, so the sample's outputs die before the next forward
-        stack[i] = forward(net, xb, "sample", rng=np.random.default_rng(child))[0].data[0]
+    for i, rng in enumerate(_sample_rngs(n, seed)):
+        # one statement, so the sample's activations die before the next one
+        stack[i] = estimate(net, xb, "sample", rng=rng).data[0]
     mean = np.clip(np.mean(stack, axis=0), 0.0, 1.0)
     samples = [HSCube(stack[i], name=f"{name}_s{i}") for i in range(n)]
     return HSCube(mean.astype(np.float32), name=name), samples
@@ -232,11 +257,12 @@ def sam(pred, ref) -> float:
 # reports
 
 
-def evaluate_pairs(pairs: list) -> MetricsReport:
-    """pairs: (name, predicted cube, reference cube) triples."""
+def evaluate_pairs(pairs) -> MetricsReport:
+    """pairs: an iterable of (name, predicted cube, reference cube) triples."""
     rep = MetricsReport()
     for name, pred, ref in pairs:
         rep.rows.append((name, mpsnr(pred, ref), mssim(pred, ref), sam(pred, ref)))
+        del pred, ref  # a lazy `pairs` then holds one pair at a time
     return rep
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "lr_counterpart",
     "extract_patches",
     "augment",
-    "inverse_code",
     "make_lr",
     "random_smooth_cube",
 ]
@@ -258,13 +257,6 @@ def augment(cube: HSCube, code: int) -> HSCube:
     if k:
         vals = np.rot90(vals, k=-k, axes=(1, 2))
     return HSCube(np.ascontiguousarray(vals), name=cube.name)
-
-
-def inverse_code(code: int) -> int:
-    """The augment code undoing `code`; flips are their own inverse."""
-    if not isinstance(code, int) or not 0 <= code <= 7:
-        raise ParameterError(f"augment code must be in 0..7, got {code}")
-    return (4 - code) % 4 if code < 4 else code
 
 
 def make_lr(hr: HSCube, alpha: int, noise_sigma: float = 0.0, rng=None) -> HSCube:

@@ -8,6 +8,10 @@ pixel shuffle + 3x3 tail emit the correction image. Stage 1 corrects plain
 bicubic upsampling; every later stage corrects the running estimate using
 the mismatch between the network input and the re-degraded estimate, through
 one degradation conv shared across all stages and the loss.
+
+Only the LR half of a stage is gated; the head, shuffle, tail and
+degradation are affine, which `mean_estimate` uses to average Monte-Carlo
+samples without building any of them at HR.
 """
 
 from __future__ import annotations
@@ -48,9 +52,13 @@ __all__ = [
     "parameters",
     "unit_forward",
     "aggregate",
-    "stage_forward",
+    "stage_features",
+    "stage_upsample",
     "degrade",
+    "estimate",
     "forward",
+    "chain_kernels",
+    "mean_estimate",
     "loss",
 ]
 
@@ -255,15 +263,21 @@ def aggregate(stage: StageNet, j: int, feats: list, mode: str, rng=None,
     return relu(blk.compress.apply(mul(cat, mask), graph))
 
 
-def stage_forward(stage: StageNet, x: Tensor, alpha: int, mode: str, rng=None,
-                  graph: Graph = None) -> Tensor:
-    """One stage's correction image: exactly alpha times the input extents."""
+def stage_features(stage: StageNet, x: Tensor, mode: str, rng=None,
+                   graph: Graph = None) -> Tensor:
+    """The gated half of a stage at LR: the stem, then every aggregation and
+    unit in turn; returns the last unit's C-channel features."""
     feats = [stage.stem.apply(x, graph)]
     for j in range(1, len(stage.units) + 1):
         a = aggregate(stage, j, feats[:j], mode, rng, graph)
         feats.append(unit_forward(stage.units[j - 1], a, mode, rng, graph))
-    r = stage.head.apply(feats[-1], graph)
-    r = pixel_shuffle(r, alpha)
+    return feats[-1]
+
+
+def stage_upsample(stage: StageNet, f: Tensor, alpha: int, graph: Graph = None) -> Tensor:
+    """The affine, gate-free half of a stage: head conv at LR, pixel shuffle,
+    tail conv at HR; a correction image exactly alpha times f's extents."""
+    r = pixel_shuffle(stage.head.apply(f, graph), alpha)
     return stage.tail.apply(r, graph)
 
 
@@ -277,33 +291,187 @@ def degrade(net: SRNet, hr: Tensor, graph: Graph = None) -> Tensor:
     return net.degrade_layer.apply(hr, graph)
 
 
-def forward(net: SRNet, x, mode: str, rng=None, graph: Graph = None):
-    """Full multi-stage estimate.
-
-    Returns (y_hat, x_hat): the HR reconstruction and its re-degraded LR
-    image (the source-consistency side of the loss). The first stage
-    corrects bicubic upsampling; stage t >= 2 sees the residual between the
-    network input and degrade(previous estimate) and adds its correction to
-    the running estimate. Output is not clamped here; clamping happens only
-    at image export.
-    """
+def _check_mode(mode: str, rng) -> None:
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode in ("train", "sample") and not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"{mode} mode needs a numpy Generator, got {type(rng).__name__}")
+
+
+def _as_input(net: SRNet, x) -> Tensor:
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.data.ndim != 4:
         raise DimensionError(f"forward input must be [N,B,h,w], got {x.shape}")
     if x.shape[1] != net.cfg.bands:
         raise DimensionError(f"input has {x.shape[1]} bands, config says {net.cfg.bands}")
-    if mode in ("train", "sample") and not isinstance(rng, np.random.Generator):
-        raise ParameterError(f"{mode} mode needs a numpy Generator, got {type(rng).__name__}")
+    return x
+
+
+def estimate(net: SRNet, x, mode: str, rng=None, graph: Graph = None) -> Tensor:
+    """The HR reconstruction y_hat.
+
+    The first stage corrects bicubic upsampling; stage t >= 2 sees the
+    residual between the network input and degrade(previous estimate) and
+    adds its correction to the running estimate. Output is not clamped
+    here; clamping happens only at image export.
+    """
+    _check_mode(mode, rng)
+    x = _as_input(net, x)
     a = net.cfg.scale
     n, b, h, w = x.shape
-    base = bicubic_resize(x.detach(), h * a, w * a)
-    y = add(stage_forward(net.stages[0], x, a, mode, rng, graph), base)
-    for t in range(1, net.cfg.stages):
-        resid = sub(x, degrade(net, y, graph))
-        y = add(stage_forward(net.stages[t], resid, a, mode, rng, graph), y)
+    y = bicubic_resize(x.detach(), h * a, w * a)
+    for t, stage in enumerate(net.stages):
+        inp = x if t == 0 else sub(x, degrade(net, y, graph))
+        y = add(stage_upsample(stage, stage_features(stage, inp, mode, rng, graph), a, graph), y)
+    return y
+
+
+def forward(net: SRNet, x, mode: str, rng=None, graph: Graph = None):
+    """Full multi-stage estimate.
+
+    Returns (y_hat, x_hat): `estimate`'s HR reconstruction and its
+    re-degraded LR image (the source-consistency side of the loss).
+    """
+    y = estimate(net, x, mode, rng, graph)
     return y, degrade(net, y, graph)
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo mean through the affine half of each stage
+#
+# Everything after a stage's last gated unit is affine: stage_upsample, and
+# the shared degrade that feeds the next stage. So the mean over samples of a
+# stage's correction is stage_upsample of its mean LR features, and a
+# sample's degrade(y) is degrade(bicubic base) plus, per finished stage, the
+# chain degrade_lin(stage_upsample(f)): one C->B conv of f at LR plus a
+# constant. The tail's and degrade's zero padding cuts taps of that chain
+# near the borders, so its kernel and constant depend on which HR border
+# cells an LR position's chain reaches. Positions that reach the same ones
+# form a class, and each (row class, column class) pair gets its own kernel,
+# composed in float64 straight from the head, tail and degrade weights.
+
+
+def _axis_classes(n: int, alpha: int, deg: ConvLayer, stage: StageNet):
+    """Classes of LR positions 0..n-1 along one axis, with 0/1 tap routing.
+
+    Along an axis, degrade tap d reads HR cell alpha*i + d - pd, and tail tap
+    e then reads HR cell alpha*i + u[d, e]. That cell is sub-position
+    s = u mod alpha of head pixel i + u // alpha, so its value comes from the
+    head channels of sub-position s at pixel i + q0 + q, q = u // alpha - q0.
+    Positions whose degrade and tail taps hit the same in-bounds HR cells
+    form a class; only positions within reach of an HR border differ from
+    the interior.
+
+    Returns (q0, classes); each class is (positions, m, route) with
+    m[d] = 1 where degrade tap d is in bounds, and
+    route[d*kt + e, q*alpha + s] = 1 where tail tap e is in bounds too and
+    lands on sub-position s of head pixel q.
+    """
+    kd, pd = deg.kernel.data.shape[-1], deg.padding
+    kt, pt = stage.tail.kernel.data.shape[-1], stage.tail.padding
+    du = np.arange(kd) - pd
+    u = (du[:, None] + np.arange(kt) - pt).ravel()  # [kd*kt], d-major
+    q0 = int(u.min()) // alpha
+    hit = u[:, None] - q0 * alpha == np.arange((u.max() // alpha - q0 + 1) * alpha)
+    hr = alpha * np.arange(n)[:, None]
+    m = (0 <= hr + du) & (hr + du < alpha * n)  # [n, kd]
+    ok = np.repeat(m, kt, axis=1) & (0 <= hr + u) & (hr + u < alpha * n)  # [n, kd*kt]
+    key = np.concatenate([m, ok], axis=1)
+    starts = np.flatnonzero(np.r_[True, (key[1:] != key[:-1]).any(axis=1)]).tolist()
+    return q0, [(slice(i, j), m[i].astype(np.float64), (hit & ok[i, :, None]).astype(np.float64))
+                for i, j in zip(starts, starts[1:] + [n])]
+
+
+def chain_kernels(net: SRNet, stage: StageNet, h: int, w: int):
+    """degrade_lin(stage_upsample(f)) on an h x w LR grid as class convs.
+
+    Returns (radius, classes): each class is (rows, cols, kernel, const), and
+    on those LR positions the chain equals the `kernel` [B, C, 2r+1, 2r+1]
+    cross-correlation of f zero-extended by `radius`, plus `const` [B]. The
+    degrade bias is left out: it is part of degrade(base). Both are float64,
+    composed straight from the head, tail and degrade weights.
+    """
+    a = net.cfg.scale
+    deg = net.degrade_layer
+    d = deg.kernel.data.astype(np.float64)  # [B, B, kd, kd]
+    t = stage.tail.kernel.data.astype(np.float64)  # [B, B, kt, kt]
+    hk = stage.head.kernel.data.astype(np.float64)  # [B*a*a, C, kh, kh], rows (B, s_y, s_x)
+    b, c, kh, ph = t.shape[0], hk.shape[1], hk.shape[2], stage.head.padding
+    kd, kt = d.shape[-1], t.shape[-1]
+    q0, rows = _axis_classes(h, a, deg, stage)
+    _, cols = _axis_classes(w, a, deg, stage)
+    nq = rows[0][2].shape[1] // a
+    radius = max(ph - q0, q0 + nq - 1 + kh - 1 - ph)
+    # dt[o, B, (d_y, e_y), (d_x, e_x)]: degrade tap times tail tap
+    dt = np.einsum("obyx,bBef->oByexf", d, t, optimize=True).reshape(b, b, kd * kt, kd * kt)
+    hmat = hk.reshape(b * a * a, c * kh * kh)
+    hb = np.tile(stage.head.bias.data.astype(np.float64), nq * nq)
+    tb = stage.tail.bias.data.astype(np.float64)
+    classes = []
+    for ys, my, ry in rows:
+        for xs, mx, rx in cols:
+            # m[(o, q_y, q_x), (B, s_y, s_x)]: weight of each head output
+            # channel at each head pixel offset
+            m = (ry.T @ dt @ rx).reshape(b, b, nq, a, nq, a).transpose(0, 2, 4, 1, 3, 5)
+            m = m.reshape(b * nq * nq, b * a * a)
+            k = (m @ hmat).reshape(b, nq, nq, c, kh, kh)
+            kernel = np.zeros((b, c, 2 * radius + 1, 2 * radius + 1))
+            for qy in range(nq):
+                for qx in range(nq):
+                    vy, vx = radius + q0 + qy - ph, radius + q0 + qx - ph
+                    kernel[:, :, vy:vy + kh, vx:vx + kh] += k[:, qy, qx]
+            const = (d * my[:, None] * mx).sum(axis=(2, 3)) @ tb + m.reshape(b, -1) @ hb
+            classes.append((ys, xs, kernel, const))
+    return radius, classes
+
+
+def _chain_apply(radius: int, classes: list, f: np.ndarray) -> np.ndarray:
+    n, c, h, w = f.shape
+    fp = np.zeros((n, c, h + 2 * radius, w + 2 * radius), dtype=f.dtype)
+    fp[:, :, radius:radius + h, radius:radius + w] = f
+    out = np.empty((n, classes[0][2].shape[0], h, w), dtype=f.dtype)
+    for ys, xs, k, e in classes:
+        win = fp[:, :, ys.start:ys.stop + 2 * radius, xs.start:xs.stop + 2 * radius]
+        out[:, :, ys, xs] = conv2d(Tensor(win), Tensor(k), Tensor(e)).data
+    return out
+
+
+def mean_estimate(net: SRNet, x, rngs) -> Tensor:
+    """Mean of estimate(net, x, "sample", rng) over `rngs`, with no HR sample.
+
+    Each generator draws its gates in `estimate`'s order, but a sample runs
+    only the gated LR halves of the stages; its next-stage input comes from
+    degrade(base) plus the chain convs of its finished stages. The HR head
+    and tail then run once per stage, on the stage's mean features.
+    """
+    x = _as_input(net, x)
+    a = net.cfg.scale
+    n, b, h, w = x.shape
+    base = bicubic_resize(x, h * a, w * a)
+    xhat0 = degrade(net, base).data
+    chains = []
+    for stage in net.stages[:-1]:
+        radius, classes = chain_kernels(net, stage, h, w)
+        chains.append((radius, [(ys, xs, k.astype(x.dtype), e.astype(x.dtype))
+                                for ys, xs, k, e in classes]))
+    fsum = np.zeros((len(net.stages), n, net.cfg.channels, h, w))
+    count = 0
+    for rng in rngs:
+        _check_mode("sample", rng)
+        count += 1
+        xhat = xhat0
+        for t, stage in enumerate(net.stages):
+            inp = x if t == 0 else Tensor(x.data - xhat)
+            f = stage_features(stage, inp, "sample", rng).data
+            fsum[t] += f
+            if t < len(chains):
+                xhat = xhat + _chain_apply(*chains[t], f)
+    if not count:
+        raise ParameterError("need at least one generator")
+    y = base
+    for stage, s in zip(net.stages, fsum):
+        y = add(stage_upsample(stage, Tensor((s / count).astype(x.dtype)), a), y)
+    return y
 
 
 def loss(y_hat: Tensor, y: Tensor, x_hat: Tensor, x: Tensor, lam: float = 1.0) -> Tensor:

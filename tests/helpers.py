@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hssr.model import forward, loss, parameters
+from hssr.model import NetConfig, build_net, forward, loss, parameters
 from hssr.tensor import (
     Graph,
     Tensor,
@@ -216,3 +216,17 @@ def directional_fd_check(net, x, y, lam, mode, gate_seed,
     for p, s in zip(params, saved):
         p.data = s
     return best
+
+
+def affine_net(scale: int, stages: int = 2, seed: int = 0):
+    """A small net whose affine stage halves and degrade layer carry random
+    weights and non-zero biases, so every term of the degrade chain shows."""
+    cfg = NetConfig(bands=3, scale=scale, stages=stages, units_per_stage=1, channels=4)
+    net = build_net(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    layers = [net.degrade_layer] + [layer for st in net.stages for layer in (st.head, st.tail)]
+    for layer in layers:
+        layer.bias.data = rng.uniform(-0.2, 0.2, layer.bias.data.shape).astype(np.float32)
+    k = net.degrade_layer.kernel.data
+    net.degrade_layer.kernel.data = rng.uniform(0, 2, k.shape).astype(np.float32) / k[0].size
+    return net

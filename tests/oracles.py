@@ -210,3 +210,45 @@ def adam_single_step(theta, g, lr, b1=0.9, b2=0.999, eps=1e-8):
     mhat = m / (1 - b1)
     vhat = v / (1 - b2)
     return theta - lr * mhat / (math.sqrt(vhat) + eps)
+
+
+def _conv_taps(x, k, stride=1, padding=0):
+    """Dense cross-correlation as a sum over kernel taps of zero-padded,
+    strided input windows; float64, vectorized over batch and positions."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, cout, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            win = xp[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
+            out += np.einsum("oc,nchw->nohw", k[:, :, i, j], win)
+    return out
+
+
+def affine_chain_impulses(head_k, head_b, tail_k, tail_b, deg_k, alpha, h, w):
+    """Impulse responses of degrade_lin(tail(shuffle(head(f)))) on an h x w grid.
+
+    head is a 3x3 pad-1 conv to B*alpha^2 channels, shuffle is depth-to-space
+    by alpha, tail a 3x3 pad-1 conv at HR, degrade_lin the bias-free
+    stride-alpha conv with padding (k-1)/2. Pushes the zero input and one
+    impulse per (channel, row, col) of f through the chain in float64.
+    Returns (resp, const): resp[o, i, j, c, y, x] is output (o, i, j)'s
+    weight on f[c, y, x], const[o, i, j] the output for f = 0.
+    """
+    head_k, tail_k, deg_k = (np.asarray(a, dtype=np.float64) for a in (head_k, tail_k, deg_k))
+    c = head_k.shape[1]
+    b = tail_k.shape[0]
+    f = np.concatenate([np.zeros((1, c * h * w)), np.eye(c * h * w)]).reshape(-1, c, h, w)
+    r = _conv_taps(f, head_k, padding=1) + np.asarray(head_b, np.float64).reshape(1, -1, 1, 1)
+    hr = np.zeros((len(f), b, h * alpha, w * alpha))
+    for i in range(alpha):
+        for j in range(alpha):
+            hr[:, :, i::alpha, j::alpha] = r[:, i * alpha + j::alpha * alpha]
+    hr = _conv_taps(hr, tail_k, padding=1) + np.asarray(tail_b, np.float64).reshape(1, -1, 1, 1)
+    out = _conv_taps(hr, deg_k, stride=alpha, padding=(deg_k.shape[-1] - 1) // 2)
+    const = out[0]
+    resp = (out[1:] - const).reshape(c, h, w, b, h, w).transpose(3, 4, 5, 0, 1, 2)
+    return resp, const

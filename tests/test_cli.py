@@ -12,6 +12,7 @@ from hssr.cli import main, read_run_config
 from hssr.errors import FormatError, ParameterError
 from hssr.hsdata import (
     DatasetManifest,
+    make_lr,
     random_smooth_cube,
     read_cube,
     read_manifest,
@@ -243,6 +244,20 @@ class TestInferenceCommands:
             f"{src.stem}_s0.hsc", f"{src.stem}_s1.hsc",
         ]
 
+    def test_sr_save_samples_keeps_the_mean_bytes(self, run_dir, data_dir, tmp_path):
+        src = next(iter(sorted((data_dir / "lr" / "test").glob("*.hsc"))))
+        outs = []
+        for sub, extra in (("plain.hsc", []), ("with.hsc", ["--save-samples", str(tmp_path / "s")])):
+            rc = main([
+                "sr", "--checkpoint", str(run_dir / "checkpoint.pdec"),
+                "--input", str(src), "--n-samples", "3", "--seed", "5",
+                "--out", str(tmp_path / sub), *extra,
+            ])
+            assert rc == 0
+            outs.append((tmp_path / sub).read_bytes())
+        assert outs[0] == outs[1]
+        assert len(list((tmp_path / "s").glob("*.hsc"))) == 3
+
     def test_sr_is_seed_deterministic(self, run_dir, data_dir, tmp_path):
         src = next(iter(sorted((data_dir / "lr" / "test").glob("*.hsc"))))
         outs = []
@@ -367,6 +382,36 @@ class TestEvalCommand:
         assert report.exists() and base.exists()
         assert base.read_text().splitlines()[0] == "cube,mpsnr,mssim,sam"
         assert "bicubic baseline:" in capsys.readouterr().out
+
+    def test_peak_memory_holds_one_pair_at_a_time(self, tmp_path):
+        # 31x64x64 pairs, 1 MiB each: scoring four with the bicubic baseline
+        # may peak at most one pair above scoring one
+        rng = np.random.default_rng(6)
+        pair = 2 * 4 * 31 * 64 * 64
+        for n in (1, 4):
+            for i in range(n):
+                hr = random_smooth_cube(31, 64, 64, rng, name=f"c{i}")
+                for sub, cube in (("gt", hr), ("pred", hr), ("lr", make_lr(hr, 2))):
+                    (tmp_path / f"{sub}{n}").mkdir(exist_ok=True)
+                    write_cube(cube, tmp_path / f"{sub}{n}" / f"c{i}.hsc")
+
+        def peak(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main([
+                    "eval", "--pred-dir", str(tmp_path / f"pred{n}"),
+                    "--gt-dir", str(tmp_path / f"gt{n}"),
+                    "--report", str(tmp_path / f"r{n}.csv"),
+                    "--baseline-bicubic", str(tmp_path / f"lr{n}"),
+                ]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm up lazily built state
+        one, four = peak(1), peak(4)
+        assert four <= one + pair, (one, four)
 
     def test_missing_ground_truth(self, data_dir, tmp_path):
         rc = main([

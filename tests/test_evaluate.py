@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import affine_net
 from oracles import mpsnr_loop, mssim_loop, sam_loop, uncertainty_loop
 
 from hssr import tensor
@@ -16,6 +17,7 @@ from hssr.evaluate import (
     MetricsReport,
     evaluate_pairs,
     mc_infer,
+    mc_mean,
     mpsnr,
     mssim,
     report_csv,
@@ -117,6 +119,56 @@ class TestMcInfer:
             mc_infer(net, _cube(rng), n=0, seed=0)
         with pytest.raises(DimensionError):
             mc_infer(net, rng.uniform(size=(3, 8)), n=1, seed=0)
+
+
+class TestMcMean:
+    @pytest.mark.parametrize("scale", [2, 4, 8])
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 5), (2, 2), (3, 3), (5, 7), (32, 32)])
+    def test_matches_mc_infer_mean(self, rng, scale, hw):
+        net = affine_net(scale, stages=3)
+        cube = _cube(rng, h=hw[0], w=hw[1], name="m")
+        want, _ = mc_infer(net, cube, n=3, seed=4)
+        got = mc_mean(net, cube, n=3, seed=4)
+        assert got.name == "m" and got.values.dtype == np.float32
+        assert got.values.shape == want.values.shape
+        assert np.abs(got.values - want.values).max() <= 1e-5
+
+    @pytest.mark.parametrize("scale", [2, 4, 8])
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 5), (2, 2), (3, 3), (5, 7), (32, 32)])
+    def test_open_gates_give_the_warmup_forward(self, rng, scale, hw):
+        net = affine_net(scale, stages=3)
+        for p in parameters(net):
+            if p.name.endswith(("gate_k", "gate_l")):
+                p.data = np.full_like(p.data, 30.0)
+        cube = _cube(rng, h=hw[0], w=hw[1])
+        ref, _ = forward(net, cube.values[None], "warmup")
+        got = mc_mean(net, cube, n=4, seed=2)
+        assert np.abs(got.values - np.clip(ref.data[0], 0.0, 1.0)).max() <= 1e-6
+
+    def test_peak_memory_does_not_grow_with_n(self, rng):
+        net = small_net()
+        cube = _cube(rng, h=32, w=32)
+        mc_mean(net, cube, n=1, seed=0)  # warm up lazily built state
+        peaks = {}
+        for n in (1, 8):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                mc_mean(net, cube, n=n, seed=0)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        out_cube = 4 * 3 * 64 * 64
+        assert peaks[8] - peaks[1] < out_cube, peaks
+
+    def test_argument_validation(self, rng):
+        net = small_net()
+        with pytest.raises(ParameterError):
+            mc_mean(net, _cube(rng), n=0, seed=0)
+        with pytest.raises(DimensionError):
+            mc_mean(net, rng.uniform(size=(3, 8)), n=1, seed=0)
+        with pytest.raises(DimensionError):
+            mc_mean(net, _cube(rng, b=4), n=1, seed=0)
 
 
 class TestUncertainty:

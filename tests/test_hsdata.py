@@ -16,7 +16,6 @@ from hssr.hsdata import (
     HSCube,
     augment,
     extract_patches,
-    inverse_code,
     lr_counterpart,
     make_lr,
     random_smooth_cube,
@@ -25,6 +24,11 @@ from hssr.hsdata import (
     write_cube,
     write_manifest,
 )
+
+
+def inverse_code(code: int) -> int:
+    """The augment code undoing `code`; flips are their own inverse."""
+    return (4 - code) % 4 if code < 4 else code
 
 
 class TestCubeFormat:

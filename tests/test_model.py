@@ -6,8 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import net_loss_and_grad
-from oracles import conv2d_loop
+from helpers import affine_net, net_loss_and_grad
+from oracles import affine_chain_impulses, conv2d_loop
 from reference_net import extract_params, reference_forward
 
 from hssr.errors import DimensionError, ParameterError
@@ -15,11 +15,13 @@ from hssr.model import (
     NetConfig,
     aggregate,
     build_net,
+    chain_kernels,
     degrade,
     forward,
     loss,
     parameters,
-    stage_forward,
+    stage_features,
+    stage_upsample,
     unit_forward,
 )
 from hssr.tensor import Graph, Tensor, backward, bicubic_resize_array
@@ -196,7 +198,9 @@ class TestStageAndDegrade:
     def test_stage_output_extents(self, rng, scale):
         net = small_net(bands=3, scale=scale, units=1, channels=4)
         x = Tensor(rng.uniform(size=(2, 3, 5, 7)).astype(np.float32))
-        out = stage_forward(net.stages[0], x, scale, "warmup")
+        f = stage_features(net.stages[0], x, "warmup")
+        assert f.shape == (2, 4, 5, 7)
+        out = stage_upsample(net.stages[0], f, scale)
         assert out.shape == (2, 3, 5 * scale, 7 * scale)
 
     @pytest.mark.parametrize("scale,hw", [(2, 8), (4, 16), (8, 16)])
@@ -220,6 +224,40 @@ class TestStageAndDegrade:
             degrade(net, Tensor(rng.uniform(size=(1, 3, 7, 8)).astype(np.float32)))
 
 
+class TestChainKernels:
+    @pytest.mark.parametrize("scale", [2, 4, 8])
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 5), (2, 2), (3, 3), (5, 7)])
+    def test_class_kernels_match_impulse_oracle(self, scale, hw):
+        net = affine_net(scale)
+        st = net.stages[0]
+        h, w = hw
+        resp, const = affine_chain_impulses(
+            st.head.kernel.data, st.head.bias.data, st.tail.kernel.data, st.tail.bias.data,
+            net.degrade_layer.kernel.data, scale, h, w)
+        r, classes = chain_kernels(net, st, h, w)
+        covered = np.zeros((h, w), dtype=int)
+        for ys, xs, kernel, bias in classes:
+            for i in range(h)[ys]:
+                for j in range(w)[xs]:
+                    covered[i, j] += 1
+                    # kernel tap (v, u) reads f at (i + v - r, j + u - r)
+                    placed = np.zeros(kernel.shape[:2] + (h + 2 * r, w + 2 * r))
+                    placed[:, :, i:i + 2 * r + 1, j:j + 2 * r + 1] = kernel
+                    assert np.abs(placed[:, :, r:r + h, r:r + w] - resp[:, i, j]).max() < 1e-6
+                    assert np.abs(bias - const[:, i, j]).max() < 1e-6
+        np.testing.assert_array_equal(covered, 1)
+
+    @pytest.mark.parametrize("scale,edges", [(2, [0, 1, 31, 32]), (4, [0, 1, 32]), (8, [0, 1, 32])])
+    def test_only_border_positions_get_their_own_class(self, scale, edges):
+        # at x2 the 3-tap degrade and the tail reach past the last HR cell
+        # from LR position 31; at x4 and x8 they stop short of it
+        net = small_net(scale=scale)
+        _, classes = chain_kernels(net, net.stages[0], 32, 32)
+        rows = sorted({(ys.start, ys.stop) for ys, _, _, _ in classes})
+        cols = sorted({(xs.start, xs.stop) for _, xs, _, _ in classes})
+        assert rows == cols == list(zip(edges[:-1], edges[1:]))
+
+
 class TestForward:
     def test_shapes_and_dtypes(self, rng):
         net = small_net(bands=3, scale=2)
@@ -241,7 +279,8 @@ class TestForward:
         net = small_net(stages=1)
         x = rng.uniform(size=(1, 3, 6, 6)).astype(np.float32)
         y_hat, x_hat = forward(net, x, "warmup")
-        corr = stage_forward(net.stages[0], Tensor(x), 2, "warmup")
+        st = net.stages[0]
+        corr = stage_upsample(st, stage_features(st, Tensor(x), "warmup"), 2)
         want = corr.data + bicubic_resize_array(x, 12, 12)
         np.testing.assert_array_equal(y_hat.data, want)
         np.testing.assert_array_equal(x_hat.data, degrade(net, Tensor(want)).data)
