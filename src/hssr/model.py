@@ -348,7 +348,9 @@ def forward(net: SRNet, x, mode: str, rng=None, graph: Graph = None):
 # near the borders, so its kernel and constant depend on which HR border
 # cells an LR position's chain reaches. Positions that reach the same ones
 # form a class, and each (row class, column class) pair gets its own kernel,
-# composed in float64 straight from the head, tail and degrade weights.
+# composed in float64 straight from the head, tail and degrade weights. A
+# kernel spans only the f offsets its class's chain reads: 5x5 in the
+# interior at x2, 4x4 (offsets -2..1) at x4 and x8, less on the borders.
 
 
 def _axis_classes(n: int, alpha: int, deg: ConvLayer, stage: StageNet):
@@ -362,10 +364,11 @@ def _axis_classes(n: int, alpha: int, deg: ConvLayer, stage: StageNet):
     form a class; only positions within reach of an HR border differ from
     the interior.
 
-    Returns (q0, classes); each class is (positions, m, route) with
-    m[d] = 1 where degrade tap d is in bounds, and
+    Returns (q0, classes); each class is (positions, m, route, qs) with
+    m[d] = 1 where degrade tap d is in bounds,
     route[d*kt + e, q*alpha + s] = 1 where tail tap e is in bounds too and
-    lands on sub-position s of head pixel q.
+    lands on sub-position s of head pixel q, and qs the range of head pixels
+    q that some route reaches.
     """
     kd, pd = deg.kernel.data.shape[-1], deg.padding
     kt, pt = stage.tail.kernel.data.shape[-1], stage.tail.padding
@@ -378,18 +381,26 @@ def _axis_classes(n: int, alpha: int, deg: ConvLayer, stage: StageNet):
     ok = np.repeat(m, kt, axis=1) & (0 <= hr + u) & (hr + u < alpha * n)  # [n, kd*kt]
     key = np.concatenate([m, ok], axis=1)
     starts = np.flatnonzero(np.r_[True, (key[1:] != key[:-1]).any(axis=1)]).tolist()
-    return q0, [(slice(i, j), m[i].astype(np.float64), (hit & ok[i, :, None]).astype(np.float64))
-                for i, j in zip(starts, starts[1:] + [n])]
+    classes = []
+    for i, j in zip(starts, starts[1:] + [n]):
+        route = hit & ok[i, :, None]
+        qs = np.flatnonzero(route.reshape(kd * kt, -1, alpha).any(axis=(0, 2)))
+        classes.append((slice(i, j), m[i].astype(np.float64), route.astype(np.float64),
+                        range(qs[0], qs[-1] + 1)))
+    return q0, classes
 
 
 def chain_kernels(net: SRNet, stage: StageNet, h: int, w: int):
     """degrade_lin(stage_upsample(f)) on an h x w LR grid as class convs.
 
-    Returns (radius, classes): each class is (rows, cols, kernel, const), and
-    on those LR positions the chain equals the `kernel` [B, C, 2r+1, 2r+1]
-    cross-correlation of f zero-extended by `radius`, plus `const` [B]. The
-    degrade bias is left out: it is part of degrade(base). Both are float64,
-    composed straight from the head, tail and degrade weights.
+    Returns (radius, classes): each class is (rows, cols, (oy, ox), kernel,
+    const), and at LR position (i, j) of the class the chain equals
+    sum_{v,u} kernel[:, :, v, u] * f[:, i + oy + v, j + ox + u] + const, with
+    f zero outside the grid. A kernel [B, C, ky, kx] spans exactly the f
+    offsets the class's chain reads, so its extents may be even; `radius` is
+    the zero extension of f that every class's window fits in. The degrade
+    bias is left out: it is part of degrade(base). Kernel and const [B] are
+    float64, composed straight from the head, tail and degrade weights.
     """
     a = net.cfg.scale
     deg = net.degrade_layer
@@ -401,37 +412,43 @@ def chain_kernels(net: SRNet, stage: StageNet, h: int, w: int):
     q0, rows = _axis_classes(h, a, deg, stage)
     _, cols = _axis_classes(w, a, deg, stage)
     nq = rows[0][2].shape[1] // a
-    radius = max(ph - q0, q0 + nq - 1 + kh - 1 - ph)
     # dt[o, B, (d_y, e_y), (d_x, e_x)]: degrade tap times tail tap
     dt = np.einsum("obyx,bBef->oByexf", d, t, optimize=True).reshape(b, b, kd * kt, kd * kt)
     hmat = hk.reshape(b * a * a, c * kh * kh)
     hb = np.tile(stage.head.bias.data.astype(np.float64), nq * nq)
     tb = stage.tail.bias.data.astype(np.float64)
     classes = []
-    for ys, my, ry in rows:
-        for xs, mx, rx in cols:
+    radius = 0
+    for ys, my, ry, qys in rows:
+        for xs, mx, rx, qxs in cols:
             # m[(o, q_y, q_x), (B, s_y, s_x)]: weight of each head output
             # channel at each head pixel offset
             m = (ry.T @ dt @ rx).reshape(b, b, nq, a, nq, a).transpose(0, 2, 4, 1, 3, 5)
             m = m.reshape(b * nq * nq, b * a * a)
             k = (m @ hmat).reshape(b, nq, nq, c, kh, kh)
-            kernel = np.zeros((b, c, 2 * radius + 1, 2 * radius + 1))
-            for qy in range(nq):
-                for qx in range(nq):
-                    vy, vx = radius + q0 + qy - ph, radius + q0 + qx - ph
+            kernel = np.zeros((b, c, len(qys) + kh - 1, len(qxs) + kh - 1))
+            for vy, qy in enumerate(qys):
+                for vx, qx in enumerate(qxs):
                     kernel[:, :, vy:vy + kh, vx:vx + kh] += k[:, qy, qx]
             const = (d * my[:, None] * mx).sum(axis=(2, 3)) @ tb + m.reshape(b, -1) @ hb
-            classes.append((ys, xs, kernel, const))
+            oy, ox = q0 + qys[0] - ph, q0 + qxs[0] - ph
+            ky, kx = kernel.shape[2:]
+            radius = max(radius, -oy, -ox, oy + ky - 1, ox + kx - 1)
+            classes.append((ys, xs, (oy, ox), kernel, const))
     return radius, classes
 
 
 def _chain_apply(radius: int, classes: list, f: np.ndarray) -> np.ndarray:
+    """The class convs of `chain_kernels` on f [N, C, h, w]: each class is a
+    valid cross-correlation of its window of f zero-extended by `radius`."""
     n, c, h, w = f.shape
     fp = np.zeros((n, c, h + 2 * radius, w + 2 * radius), dtype=f.dtype)
     fp[:, :, radius:radius + h, radius:radius + w] = f
-    out = np.empty((n, classes[0][2].shape[0], h, w), dtype=f.dtype)
-    for ys, xs, k, e in classes:
-        win = fp[:, :, ys.start:ys.stop + 2 * radius, xs.start:xs.stop + 2 * radius]
+    out = np.empty((n, classes[0][3].shape[0], h, w), dtype=f.dtype)
+    for ys, xs, (oy, ox), k, e in classes:
+        y0, x0 = radius + ys.start + oy, radius + xs.start + ox
+        win = fp[:, :, y0:y0 + ys.stop - ys.start + k.shape[2] - 1,
+                 x0:x0 + xs.stop - xs.start + k.shape[3] - 1]
         out[:, :, ys, xs] = conv2d(Tensor(win), Tensor(k), Tensor(e)).data
     return out
 
@@ -452,8 +469,8 @@ def mean_estimate(net: SRNet, x, rngs) -> Tensor:
     chains = []
     for stage in net.stages[:-1]:
         radius, classes = chain_kernels(net, stage, h, w)
-        chains.append((radius, [(ys, xs, k.astype(x.dtype), e.astype(x.dtype))
-                                for ys, xs, k, e in classes]))
+        chains.append((radius, [(ys, xs, o, k.astype(x.dtype), e.astype(x.dtype))
+                                for ys, xs, o, k, e in classes]))
     fsum = np.zeros((len(net.stages), n, net.cfg.channels, h, w))
     count = 0
     for rng in rngs:

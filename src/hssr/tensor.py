@@ -484,7 +484,8 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
     Args:
         x: input tensor [N, Cin, H, W].
         kernel: weights [Cout, Cin, kh, kw] (dense) or [C, 1, kh, kw]
-            (depthwise); kh and kw must be odd.
+            (depthwise); kh and kw must be odd when padding > 0, and may be
+            even for a valid correlation (padding 0), which needs no centre.
         bias: per-output-channel offsets [Cout].
         stride: sampling step of the output grid (>= 1).
         padding: zero rows/cols added on every side.
@@ -492,10 +493,15 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
 
     Output extent per axis is floor((size + 2*padding - k)/stride) + 1.
 
-    Forward and both gradients walk the same kernel taps, clipped to the
-    input: tap (i, j) covers only the outputs whose input row
-    stride*y + i - padding and column stride*x + j - padding are in bounds,
-    so no padded copy of the input is made. Dense convs work sample by
+    The depthwise forward zero-pads the input plane once (not at all when
+    padding is 0) and, tap by tap in row-major order, multiplies one whole
+    strided slice of it into a reused product buffer and adds that into the
+    output. An in-bounds output so gets the same products in the same order
+    as a sum over taps clipped to the input, and the same bits.
+    Everything else walks the kernel taps clipped to the input: tap (i, j)
+    covers only the outputs whose input row stride*y + i - padding and
+    column stride*x + j - padding are in bounds, so no padded copy of the
+    input is made. Dense convs work sample by
     sample in blocks of output rows, the fewest equal blocks whose
     [kh*kw*Cin, rows*Wo] column buffer fits in _COLS_BYTES (the last block
     may be shorter), so the buffer is still in cache when the matmul reads
@@ -505,7 +511,8 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
     the output gradient back into the buffer and adds each tap's rectangle
     into the input gradient. The block plan depends on the layer and output
     shapes only, never on the batch size, so a sample's result does not
-    depend on its batch. Depthwise convs do one multiply-add per tap.
+    depend on its batch. The depthwise backward does one multiply-add per
+    clipped tap.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     _check_dtypes("conv2d", x, kernel, bias)
@@ -521,8 +528,8 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
         raise ParameterError(f"conv2d: groups must be positive, got {groups}")
     n, cin, h, w = x.shape
     cout, cin_k, kh, kw = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ParameterError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
+    if padding and (kh % 2 == 0 or kw % 2 == 0):
+        raise ParameterError(f"conv2d: padded kernel extents must be odd, got {kh}x{kw}")
     depthwise = groups > 1
     if depthwise and not groups == cin == cout:
         raise DimensionError(f"conv2d: groups={groups} is neither 1 (dense) nor equal to "
@@ -544,9 +551,20 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
     ntap = kh * kw
     if depthwise:
         ktap = kd.reshape(cout, ntap).T[:, None, :, None, None]  # [T, 1, C, 1, 1] view
-        out = np.zeros((n, cout, ho, wo), dtype=xd.dtype)
-        for t, (ys, xs), (dy, dx) in _taps(kh, kw, stride, padding, h, w, 0, ho, wo):
-            out[:, :, dy, dx] += xd[:, :, ys, xs] * ktap[t]
+        xp = xd
+        if padding:
+            xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
+            xp[:, :, padding:padding + h, padding:padding + w] = xd
+
+        def plane(t):  # what tap t = i*kw + j reads for every output
+            i, j = divmod(t, kw)
+            return xp[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
+
+        out = plane(0) * ktap[0]
+        prod = np.empty_like(out)
+        for t in range(1, ntap):
+            np.multiply(plane(t), ktap[t], out=prod)
+            out += prod
     else:
         # rows per block: the fewest equal blocks whose buffer fits the budget
         rows = max(1, _COLS_BYTES // (ntap * cin * wo * xd.itemsize))

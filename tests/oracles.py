@@ -62,6 +62,37 @@ def conv2d_loop_grads(x, k, go, stride=1, padding=0, groups=1):
     return gxp[:, :, padding:padding + h, padding:padding + w], gk, gb
 
 
+def depthwise_clipped_taps(x, k, b, stride=1, padding=0):
+    """Depthwise cross-correlation as a sum of per-tap multiply-adds, each
+    over only the outputs whose input lies inside the unpadded plane.
+
+    Unlike the oracles above it keeps the input dtype: taps add into a
+    zeroed output in row-major tap order and the bias comes last, so it
+    fixes the exact rounding a depthwise forward must reproduce.
+    """
+    n, c, h, w = x.shape
+    _, _, kh, kw = k.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+
+    def span(off, size, n_out):  # outputs o with stride*o + off - padding in [0, size)
+        inside = [o for o in range(n_out) if 0 <= stride * o + off - padding < size]
+        if not inside:
+            return None
+        o0, o1 = inside[0], inside[-1]
+        s0 = stride * o0 + off - padding
+        return slice(s0, s0 + stride * (o1 - o0) + 1, stride), slice(o0, o1 + 1)
+
+    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            ys, xs = span(i, h, ho), span(j, w, wo)
+            if ys and xs:
+                out[:, :, ys[1], xs[1]] += x[:, :, ys[0], xs[0]] * k[:, 0, i, j].reshape(1, c, 1, 1)
+    out += b.reshape(1, c, 1, 1)
+    return out
+
+
 def pixel_shuffle_loop(x, r):
     n, c2, h, w = x.shape
     c = c2 // (r * r)

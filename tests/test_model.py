@@ -236,13 +236,14 @@ class TestChainKernels:
             net.degrade_layer.kernel.data, scale, h, w)
         r, classes = chain_kernels(net, st, h, w)
         covered = np.zeros((h, w), dtype=int)
-        for ys, xs, kernel, bias in classes:
+        for ys, xs, (oy, ox), kernel, bias in classes:
+            ky, kx = kernel.shape[2:]
             for i in range(h)[ys]:
                 for j in range(w)[xs]:
                     covered[i, j] += 1
-                    # kernel tap (v, u) reads f at (i + v - r, j + u - r)
+                    # kernel tap (v, u) reads f at (i + oy + v, j + ox + u)
                     placed = np.zeros(kernel.shape[:2] + (h + 2 * r, w + 2 * r))
-                    placed[:, :, i:i + 2 * r + 1, j:j + 2 * r + 1] = kernel
+                    placed[:, :, r + i + oy:r + i + oy + ky, r + j + ox:r + j + ox + kx] = kernel
                     assert np.abs(placed[:, :, r:r + h, r:r + w] - resp[:, i, j]).max() < 1e-6
                     assert np.abs(bias - const[:, i, j]).max() < 1e-6
         np.testing.assert_array_equal(covered, 1)
@@ -253,9 +254,22 @@ class TestChainKernels:
         # from LR position 31; at x4 and x8 they stop short of it
         net = small_net(scale=scale)
         _, classes = chain_kernels(net, net.stages[0], 32, 32)
-        rows = sorted({(ys.start, ys.stop) for ys, _, _, _ in classes})
-        cols = sorted({(xs.start, xs.stop) for _, xs, _, _ in classes})
+        rows = sorted({(ys.start, ys.stop) for ys, *_ in classes})
+        cols = sorted({(xs.start, xs.stop) for _, xs, *_ in classes})
         assert rows == cols == list(zip(edges[:-1], edges[1:]))
+
+    @pytest.mark.parametrize("scale,interior", [(2, 5), (4, 4), (8, 4)])
+    @pytest.mark.parametrize("hw", [(1, 1), (3, 3), (5, 7), (32, 32)])
+    def test_class_kernels_span_only_the_offsets_they_read(self, scale, interior, hw):
+        # a valid correlation over a zero outermost row or column is wasted work
+        net = affine_net(scale)
+        _, classes = chain_kernels(net, net.stages[0], *hw)
+        for _, _, _, kernel, _ in classes:
+            for axis in (2, 3):
+                edges = np.take(kernel, [0, -1], axis=axis)
+                assert (np.abs(edges).sum(axis=tuple({0, 1, 2, 3} - {axis})) > 0).all()
+        if hw == (32, 32):  # one interior class, at the chain's full reach
+            assert max(k.shape[2:] for *_, k, _ in classes) == (interior, interior)
 
 
 class TestForward:

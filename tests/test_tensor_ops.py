@@ -10,7 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import check_op_grad, gradcheck_all_ops, rel_err
-from oracles import bicubic_direct, conv2d_loop, conv2d_loop_grads, pixel_shuffle_loop
+from oracles import (
+    bicubic_direct,
+    conv2d_loop,
+    conv2d_loop_grads,
+    depthwise_clipped_taps,
+    pixel_shuffle_loop,
+)
 
 from hssr import tensor
 from hssr.errors import DimensionError, ParameterError
@@ -69,6 +75,7 @@ class TestConv2d:
         (1, 1, 4, 4, 4, 3),  # depthwise
         (1, 0, 1, 4, 5, 1),  # pointwise
         (4, 2, 1, 1, 1, 5),
+        (1, 0, 1, 2, 3, 4),  # even extents, valid correlation
     ])
     def test_loop_oracle_sweep(self, rng, stride, padding, groups, cin, cout, kk):
         x = rng.uniform(-1, 1, (2, cin, 9, 9))
@@ -181,6 +188,22 @@ class TestConv2d:
             single = conv2d_loop(x[:, c:c + 1], k[c:c + 1], np.zeros(1), 1, 1, 1)
             assert np.abs(out.data[:, c:c + 1] - single).max() < 1e-10
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kk", [3, 5])
+    @pytest.mark.parametrize("stride,padding", itertools.product((1, 2, 3), (0, 1, 2)))
+    def test_depthwise_forward_matches_clipped_taps_exactly(self, rng, dtype, n, kk,
+                                                             stride, padding):
+        # same products, added in the same order, on every non-square plane
+        for h, w in [(7, 11), (12, 5), (kk, kk + 3)]:
+            x = rng.uniform(-1, 1, (n, 4, h, w)).astype(dtype)
+            k = rng.uniform(-1, 1, (4, 1, kk, kk)).astype(dtype)
+            b = rng.uniform(-1, 1, 4).astype(dtype)
+            out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding, groups=4)
+            ref = depthwise_clipped_taps(x, k, b, stride, padding)
+            assert out.data.dtype == ref.dtype
+            np.testing.assert_array_equal(out.data, ref)
+
     def test_pointwise_equals_channel_matmul(self, rng):
         x = rng.uniform(-1, 1, (2, 4, 3, 3))
         k = rng.uniform(-1, 1, (5, 4, 1, 1))
@@ -224,8 +247,8 @@ class TestConv2d:
         b = Tensor(np.zeros(3, np.float32))
         with pytest.raises(ParameterError):
             conv2d(x, k, b, stride=0)
-        with pytest.raises(ParameterError):
-            conv2d(x, Tensor(rng.random((3, 2, 2, 2), dtype=np.float32)), b)
+        with pytest.raises(ParameterError):  # even extents have no centre to pad around
+            conv2d(x, Tensor(rng.random((3, 2, 2, 2), dtype=np.float32)), b, padding=1)
         with pytest.raises(DimensionError):
             conv2d(x, k, Tensor(np.zeros(4, np.float32)))
         with pytest.raises(DimensionError):
