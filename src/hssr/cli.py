@@ -103,6 +103,11 @@ def read_run_config(path, overrides=()) -> dict:
     return values
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {seed}")
+
+
 def _cube_files(path: Path) -> list:
     if path.is_dir():
         files = sorted(path.glob("*.hsc"))
@@ -117,6 +122,7 @@ def _cube_files(path: Path) -> list:
 
 
 def cmd_prepare(args) -> int:
+    _check_seed(args.seed)
     src = read_manifest(Path(args.manifest))
     if not src.entries:
         raise ParameterError(f"{args.manifest}: manifest lists no cubes")
@@ -178,13 +184,14 @@ def cmd_train(args) -> int:
 
 
 def _infer_inputs(args):
+    _check_seed(args.seed)
     net = load_checkpoint(Path(args.checkpoint))
     in_path = Path(args.input)
     files = _cube_files(in_path)
     out = Path(args.out)
     if in_path.is_dir():
         out.mkdir(parents=True, exist_ok=True)
-    elif out.parent:
+    else:
         out.parent.mkdir(parents=True, exist_ok=True)
     return net, in_path, files, out
 
@@ -254,8 +261,7 @@ def cmd_eval(args) -> int:
     files = _cube_files(Path(args.pred_dir))
     rep = evaluate_pairs(_eval_pairs(files, gt_dir))
     report_path = Path(args.report)
-    if report_path.parent:
-        report_path.parent.mkdir(parents=True, exist_ok=True)
+    report_path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write(report_path, [report_csv(rep).encode()])
     sys.stdout.write(report_text(rep))
     if args.baseline_bicubic:

@@ -31,13 +31,12 @@ from .tensor import (
     bicubic_resize,
     concat_channels,
     conv2d,
+    gate_channels,
     mean_all,
     mul,
     pixel_shuffle,
     relu,
-    reshape,
     scale,
-    slice1d,
     sub,
 )
 
@@ -213,40 +212,19 @@ def parameters(net: SRNet) -> list:
 
 
 # ---------------------------------------------------------------------------
-# mask plumbing
-#
-# A gate yields one [1,C,1,1] mask broadcast over the batch. Monte-Carlo
-# inference runs one single-sample forward per substream, so every sample
-# draws its own hard masks.
-
-
-def _agg_mask(gate: GateParams, mode: str, rng, graph: Graph):
-    m = mask_for(gate, mode, rng, graph)
-    return reshape(m, (1, gate.channels, 1, 1))
-
-
-def _unit_masks(gate: GateParams, mode: str, rng, graph: Graph):
-    c2 = gate.channels
-    c = c2 // 2
-    m = mask_for(gate, mode, rng, graph)
-    m1 = reshape(slice1d(m, 0, c), (1, c, 1, 1))
-    m2 = reshape(slice1d(m, c, c2), (1, c, 1, 1))
-    return m1, m2
-
-
-# ---------------------------------------------------------------------------
 # forward pieces
 
 
 def unit_forward(unit: EmbedUnit, x: Tensor, mode: str, rng=None, graph: Graph = None) -> Tensor:
-    """Residual spectral then spatial mixing, each branch gated per channel:
-    O = x + spe(x) * m1; out = O + spa(O) * m2."""
+    """Residual spectral then spatial mixing, each branch gated per channel
+    by one half of the 2C mask m: O = x + spe(x) * m[:C];
+    out = O + spa(O) * m[C:]."""
     c = unit.spe.kernel.data.shape[0]
     if x.shape[1] != c:
         raise DimensionError(f"unit expects {c} channels, got {x.shape[1]}")
-    m1, m2 = _unit_masks(unit.gate_l, mode, rng, graph)
-    o = add(x, mul(unit.spe.apply(x, graph), m1))
-    return add(o, mul(unit.spa.apply(o, graph), m2))
+    m = mask_for(unit.gate_l, mode, rng, graph)
+    o = add(x, gate_channels(unit.spe.apply(x, graph), m))
+    return add(o, gate_channels(unit.spa.apply(o, graph), m, c))
 
 
 def aggregate(stage: StageNet, j: int, feats: list, mode: str, rng=None,
@@ -259,8 +237,8 @@ def aggregate(stage: StageNet, j: int, feats: list, mode: str, rng=None,
         raise DimensionError(f"aggregation for unit {j} needs {j} features, got {len(feats)}")
     blk = stage.aggs[j - 1]
     cat = feats[0] if j == 1 else concat_channels(feats)
-    mask = _agg_mask(blk.gate_k, mode, rng, graph)
-    return relu(blk.compress.apply(mul(cat, mask), graph))
+    mask = mask_for(blk.gate_k, mode, rng, graph)
+    return relu(blk.compress.apply(gate_channels(cat, mask), graph))
 
 
 def stage_features(stage: StageNet, x: Tensor, mode: str, rng=None,

@@ -4,8 +4,9 @@ The engine is deliberately small: a tape (`Graph`) records every operation
 that touches a grad-enabled tensor, and `backward` replays the tape in
 reverse append order, accumulating gradients additively for nodes with
 multiple consumers. Only the operations the super-resolution network needs
-are provided; there is no general broadcasting beyond per-channel masks and
-no GPU path.
+are provided, and there is no GPU path. Elementwise ops take operands of
+equal shape; `gate_channels`, which scales each channel of a feature map by
+one entry of a gate's mask, is the only per-channel op.
 
 Tensors are plain numpy arrays underneath. float32 is the working precision;
 float64 is supported throughout so gradients can be checked against central
@@ -32,10 +33,8 @@ __all__ = [
     "relu",
     "sigmoid",
     "absolute",
-    "sum_all",
     "mean_all",
-    "reshape",
-    "slice1d",
+    "gate_channels",
     "concat_channels",
     "conv2d",
     "pixel_shuffle",
@@ -220,22 +219,9 @@ def _emit(op: str, data: np.ndarray, inputs: Sequence[Tensor], grad_fn_factory) 
     return g._record(op, data, ids, grad_fn_factory())
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def _broadcast_check(op: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+def _check_shapes(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +231,11 @@ def _broadcast_check(op: str, a: Tensor, b: Tensor) -> None:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_dtypes("add", a, b)
-    _broadcast_check("add", a, b)
+    _check_shapes("add", a, b)
     out = a.data + b.data
-    ash, bsh = a.shape, b.shape
 
     def factory():
-        return lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh))
+        return lambda g: (g, g)
 
     return _emit("add", out, (a, b), factory)
 
@@ -258,26 +243,24 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_dtypes("sub", a, b)
-    _broadcast_check("sub", a, b)
+    _check_shapes("sub", a, b)
     out = a.data - b.data
-    ash, bsh = a.shape, b.shape
 
     def factory():
-        return lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh))
+        return lambda g: (g, -g)
 
     return _emit("sub", out, (a, b), factory)
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise product; either side may be a per-channel [1,C,1,1] mask."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_dtypes("mul", a, b)
-    _broadcast_check("mul", a, b)
+    _check_shapes("mul", a, b)
     out = a.data * b.data
-    ad, bd, ash, bsh = a.data, b.data, a.shape, b.shape
+    ad, bd = a.data, b.data
 
     def factory():
-        return lambda g: (_unbroadcast(g * bd, ash), _unbroadcast(g * ad, bsh))
+        return lambda g: (g * bd, g * ad)
 
     return _emit("mul", out, (a, b), factory)
 
@@ -335,17 +318,6 @@ def absolute(a) -> Tensor:
     return _emit("abs", out, (a,), factory)
 
 
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.asarray(a.data.sum(), dtype=a.dtype)
-    shape = a.shape
-
-    def factory():
-        return lambda g: (np.full(shape, g, dtype=g.dtype),)
-
-    return _emit("sum", out, (a,), factory)
-
-
 def mean_all(a) -> Tensor:
     a = _as_tensor(a)
     out = np.asarray(a.data.mean(), dtype=a.dtype)
@@ -357,40 +329,29 @@ def mean_all(a) -> Tensor:
     return _emit("mean", out, (a,), factory)
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(shape)
-    try:
-        out = a.data.reshape(shape)
-    except ValueError:
-        raise DimensionError(f"reshape: cannot view {a.shape} as {shape}") from None
-    old = a.shape
-
-    def factory():
-        return lambda g: (g.reshape(old),)
-
-    return _emit("reshape", out, (a,), factory)
-
-
-def slice1d(a, start: int, stop: int) -> Tensor:
-    """Contiguous slice of a 1-D tensor; the gradient scatters back into place."""
-    a = _as_tensor(a)
-    if a.data.ndim != 1:
-        raise DimensionError(f"slice1d: input must be 1-D, got {a.shape}")
-    n = a.shape[0]
-    if not (0 <= start < stop <= n):
-        raise ParameterError(f"slice1d: bad range [{start}, {stop}) for length {n}")
-    out = a.data[start:stop].copy()
+def gate_channels(x, m, start: int = 0) -> Tensor:
+    """Scale channel c of x [N, C, H, W] by m[start + c], for a gate's 1-D
+    mask m; the mask gradient is zero outside m[start:start + C]."""
+    x, m = _as_tensor(x), _as_tensor(m)
+    _check_dtypes("gate_channels", x, m)
+    if x.data.ndim != 4 or m.data.ndim != 1:
+        raise DimensionError(f"gate_channels: need [N,C,H,W] and a 1-D mask, got {x.shape} "
+                             f"and {m.shape}")
+    c, n = x.shape[1], m.shape[0]
+    if not 0 <= start <= n - c:
+        raise ParameterError(f"gate_channels: {c} channels from {start} overrun a mask of {n}")
+    xd, mc = x.data, m.data[start:start + c].reshape(1, c, 1, 1)
+    out = xd * mc
 
     def factory():
         def grad_fn(g):
-            gi = np.zeros(n, dtype=g.dtype)
-            gi[start:stop] = g
-            return (gi,)
+            gm = np.zeros(n, dtype=g.dtype)
+            gm[start:start + c] = (g * xd).sum(axis=(0, 2, 3))
+            return (g * mc, gm)
 
         return grad_fn
 
-    return _emit("slice1d", out, (a,), factory)
+    return _emit("gate_channels", out, (x, m), factory)
 
 
 def concat_channels(tensors: Sequence) -> Tensor:

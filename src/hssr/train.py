@@ -73,6 +73,8 @@ class TrainConfig:
             raise ParameterError(f"batch must be >= 1, got {self.batch}")
         if self.halve_every < 1:
             raise ParameterError(f"halve_every must be >= 1, got {self.halve_every}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

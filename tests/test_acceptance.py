@@ -185,7 +185,7 @@ def test_criterion_01_gradient_integrity(acceptance_log):
     with criterion(acceptance_log, 1, "reverse-mode gradients match finite differences") as info:
         t0 = time.perf_counter()
         rng = np.random.default_rng(11)
-        op_worst = gradcheck_all_ops(trials=2, rng=rng)  # 2 x 26 op instances
+        op_worst = gradcheck_all_ops(trials=2, rng=rng)  # 2 instances per op case
         n_ops = 2 * len(op_worst)
 
         cfg = NetConfig(bands=3, scale=2, stages=2, units_per_stage=2, channels=8)

@@ -121,6 +121,14 @@ class TestPrepare:
         rc = main(["prepare", "--manifest", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_negative_seed_is_config_error(self, raw_manifest, tmp_path):
+        rc = main([
+            "prepare", "--manifest", str(raw_manifest), "--scale", "2",
+            "--patch", "16", "--stride", "16", "--seed", "-1", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "x").exists()
+
 
 class TestRunConfig:
     def test_defaults_and_types(self, tmp_path):
@@ -202,6 +210,14 @@ class TestTrainCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"manifest=manifest.txt\n# \xff\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+
+    def test_negative_seed_exit_code(self, run_dir, data_dir, tmp_path):
+        rc = main([
+            "train", "--config", str(data_dir / "run.cfg"), "--set", "seed=-1",
+            "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -320,6 +336,16 @@ class TestInferenceCommands:
             "--n-samples", "1", "--out", str(tmp_path / "u"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["sr", "uncertainty"])
+    def test_negative_seed_is_config_error(self, run_dir, data_dir, tmp_path, command):
+        rc = main([
+            command, "--checkpoint", str(run_dir / "checkpoint.pdec"),
+            "--input", str(data_dir / "lr" / "test"), "--seed", "-1",
+            "--out", str(tmp_path / "p"),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "p").exists()
 
     def test_missing_checkpoint_is_io_error(self, data_dir, tmp_path):
         rc = main([

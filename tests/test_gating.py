@@ -17,7 +17,7 @@ from hssr.gating import (
     sample_soft,
     warmup_mask,
 )
-from hssr.tensor import Graph, Param, Tensor, backward, mul, sum_all
+from hssr.tensor import Graph, Param, Tensor, backward, mean_all, mul
 
 
 def _gate(logits, tau=2.0 / 3.0, dtype=np.float64) -> GateParams:
@@ -74,7 +74,7 @@ class TestSampleSoft:
             gate = _gate(logits.copy())
             g = Graph()
             out = sample_soft(gate, np.random.default_rng(seed), graph=g)
-            s = sum_all(mul(out, Tensor(w)))
+            s = mean_all(mul(out, Tensor(w)))
             ana = backward(s)[g.leaf_id(gate.logits)]
 
             theta = logits.copy()
@@ -82,7 +82,7 @@ class TestSampleSoft:
             def f():
                 gate_f = _gate(theta)
                 out_f = sample_soft(gate_f, np.random.default_rng(seed))
-                return float((out_f.data * w).sum())
+                return float((out_f.data * w).mean())
 
             worst = max(worst, rel_err(ana, numeric_grad(f, theta)))
         assert worst < 1e-3

@@ -401,6 +401,21 @@ class TestLoss:
             else:
                 assert np.linalg.norm(piece) > 0.0
 
+    def test_train_step_tape_gates_each_site_once(self, rng):
+        # default net, train shape: every gate site's mask reaches its
+        # features through one gate_channels node per gated map, with no
+        # reshaping or slicing of the mask on the tape
+        net = build_net(NetConfig(bands=31), np.random.default_rng(0))
+        x = rng.uniform(0.1, 0.9, (4, 31, 8, 8)).astype(np.float32)
+        y = rng.uniform(0.1, 0.9, (4, 31, 32, 32)).astype(np.float32)
+        graph = Graph()
+        y_hat, x_hat = forward(net, x, "train", rng=np.random.default_rng(5), graph=graph)
+        loss(y_hat, y, x_hat, x)
+        ops = [node.op for node in graph.nodes]
+        assert len(ops) == 345
+        assert ops.count("gate_channels") == 4 * (3 + 2 * 3)  # per stage: 3 aggs, 3 units
+        assert not {"reshape", "slice1d"} & set(ops)
+
     def test_tape_is_freed_without_the_cycle_collector(self, rng):
         # a training step's tape must die with its last reference, not wait
         # for gc: every array its backward closures hold lives as long as it

@@ -30,16 +30,14 @@ from hssr.tensor import (
     bicubic_resize_array,
     concat_channels,
     conv2d,
+    gate_channels,
     mean_all,
     mul,
     pixel_shuffle,
     relu,
-    reshape,
     scale,
     sigmoid,
-    slice1d,
     sub,
-    sum_all,
 )
 
 
@@ -139,11 +137,11 @@ class TestConv2d:
         xt, kt, bt = g.leaf(x), g.leaf(k), g.leaf(b)
         out = conv2d(xt, kt, bt, stride=stride, padding=padding, groups=groups)
         go = rng.uniform(-1, 1, out.shape)
-        grads = backward(sum_all(mul(out, Tensor(go))))
+        grads = backward(mean_all(mul(out, Tensor(go))))
         assert groups > 1 or max(rows) == 2  # the backward runs in the forward's blocks
         for t, ref in zip((xt, kt, bt), conv2d_loop_grads(x, k, go, stride, padding, groups)):
             assert grads[t.node_id].shape == ref.shape
-            assert np.abs(grads[t.node_id] - ref).max() < 1e-10
+            assert np.abs(grads[t.node_id] - ref / go.size).max() < 1e-10
 
     def test_column_buffer_fits_the_budget(self, rng):
         # at the sr tail shape the dense forward allocates, beyond its
@@ -370,19 +368,30 @@ class TestElementwise:
         out = relu(Tensor(np.array([-1.0, 0.0, 2.0], np.float32)))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
-    def test_mask_mul_and_its_gradient(self):
+    def test_gate_channels_two_consumers(self):
+        # one 2C mask gates two C-channel maps, as in an embedding unit: each
+        # map takes its half, and each half of the gradient comes from its map
         g = Graph()
-        mask = g.leaf(np.array([0.0, 1.0, 0.5]).reshape(1, 3, 1, 1))
-        x = np.ones((1, 3, 2, 2))
-        out = mul(Tensor(x), mask)
-        assert np.allclose(out.data[0, 0], 0.0)
-        assert np.allclose(out.data[0, 1], 1.0)
-        assert np.allclose(out.data[0, 2], 0.5)
-        upstream = np.arange(12, dtype=np.float64).reshape(1, 3, 2, 2)
-        s = sum_all(mul(out, Tensor(upstream)))
-        grad = backward(s)[mask.node_id]
-        # per-channel: sum of that channel's upstream gradient (x is ones)
-        np.testing.assert_allclose(grad[0, :, 0, 0], upstream.sum(axis=(0, 2, 3)))
+        mask = g.leaf(np.array([0.0, 1.0, 0.5, 2.0, -1.0, 0.25]))
+        a = np.arange(12, dtype=np.float64).reshape(1, 3, 2, 2)
+        b = np.ones((1, 3, 2, 2))
+        ga, gb = gate_channels(Tensor(a), mask), gate_channels(Tensor(b), mask, 3)
+        np.testing.assert_array_equal(ga.data, a * mask.data[:3].reshape(1, 3, 1, 1))
+        np.testing.assert_array_equal(gb.data, b * mask.data[3:].reshape(1, 3, 1, 1))
+        grad = backward(mean_all(add(ga, gb)))[mask.node_id]
+        # per channel: that map's channel sum, over the 12 elements of the mean
+        np.testing.assert_allclose(grad[:3], a.sum(axis=(0, 2, 3)) / 12)
+        np.testing.assert_allclose(grad[3:], b.sum(axis=(0, 2, 3)) / 12)
+
+    def test_gate_channels_errors(self, rng):
+        x = Tensor(rng.random((2, 3, 4, 4)))
+        with pytest.raises(DimensionError):
+            gate_channels(x, Tensor(rng.random((1, 3))))
+        for start in (-1, 2, 5):
+            with pytest.raises(ParameterError):
+                gate_channels(x, Tensor(rng.random(4)), start)
+        with pytest.raises(ParameterError):
+            gate_channels(x, Tensor(rng.random(3, dtype=np.float32)))
 
     def test_scale(self, rng):
         x = rng.random(5, dtype=np.float32)
@@ -392,6 +401,10 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             add(Tensor(rng.random((2, 3), dtype=np.float32)),
                 Tensor(rng.random((2, 4), dtype=np.float32)))
+        # shapes numpy would broadcast are rejected too: operands match exactly
+        for op in (add, sub, mul):
+            with pytest.raises(DimensionError):
+                op(Tensor(rng.random((2, 3, 4, 4))), Tensor(rng.random((1, 3, 1, 1))))
 
     def test_mixed_dtype_error(self, rng):
         with pytest.raises(ParameterError):
@@ -399,25 +412,25 @@ class TestElementwise:
 
 
 class TestGraphAndBackward:
-    def test_sum_gradient_ones(self, rng):
+    def test_mean_gradient_is_uniform(self, rng):
         g = Graph()
         x = g.leaf(rng.uniform(-1, 1, (3, 4)))
-        grads = backward(sum_all(x))
-        np.testing.assert_array_equal(grads[x.node_id], np.ones((3, 4)))
+        grads = backward(mean_all(x))
+        np.testing.assert_array_equal(grads[x.node_id], np.full((3, 4), 1 / 12))
 
     def test_half_square_gradient_is_x(self, rng):
         xv = rng.uniform(-1, 1, (4, 5))
         g = Graph()
         x = g.leaf(xv)
-        s = scale(sum_all(mul(x, x)), 0.5)
+        s = scale(mean_all(mul(x, x)), 0.5 * xv.size)
         np.testing.assert_allclose(backward(s)[x.node_id], xv, atol=1e-12)
 
     def test_multi_consumer_accumulation(self, rng):
-        # y = x + x (two consumers of the same node): dy/dx = 2
+        # mean(x + x) (two consumers of the same node): 2/6 per element
         g = Graph()
         x = g.leaf(rng.uniform(-1, 1, 6))
-        grads = backward(sum_all(add(x, x)))
-        np.testing.assert_array_equal(grads[x.node_id], np.full(6, 2.0))
+        grads = backward(mean_all(add(x, x)))
+        np.testing.assert_array_equal(grads[x.node_id], np.full(6, 2 / 6))
 
     def test_leaf_for_shares_one_node(self):
         from hssr.tensor import Param
@@ -427,8 +440,8 @@ class TestGraphAndBackward:
         a = g.leaf_for(p)
         b = g.leaf_for(p)
         assert a.node_id == b.node_id
-        grads = backward(sum_all(add(a, b)))
-        np.testing.assert_array_equal(grads[a.node_id], np.full(3, 2.0))
+        grads = backward(mean_all(add(a, b)))
+        np.testing.assert_array_equal(grads[a.node_id], np.full(3, 2 / 3))
 
     def test_backward_requires_scalar(self, rng):
         g = Graph()
@@ -464,25 +477,6 @@ class TestGraphAndBackward:
 
 
 class TestReshapeSliceConcat:
-    def test_reshape_round_trip(self, rng):
-        xv = rng.uniform(-1, 1, (2, 3, 4))
-        g = Graph()
-        x = g.leaf(xv)
-        grads = backward(sum_all(reshape(x, (6, 4))))
-        assert grads[x.node_id].shape == (2, 3, 4)
-
-    def test_reshape_bad_size(self, rng):
-        with pytest.raises(DimensionError):
-            reshape(Tensor(rng.random(6)), (4,))
-
-    def test_slice1d_values_and_bounds(self, rng):
-        x = rng.uniform(-1, 1, 10)
-        np.testing.assert_array_equal(slice1d(Tensor(x), 2, 7).data, x[2:7])
-        with pytest.raises(ParameterError):
-            slice1d(Tensor(x), 7, 2)
-        with pytest.raises(DimensionError):
-            slice1d(Tensor(rng.random((2, 3))), 0, 1)
-
     def test_concat_values_and_errors(self, rng):
         a = rng.random((2, 2, 3, 3), dtype=np.float32)
         b = rng.random((2, 5, 3, 3), dtype=np.float32)

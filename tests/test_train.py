@@ -107,6 +107,8 @@ class TestSchedule:
             TrainConfig(warmup_epochs=-1)
         with pytest.raises(ParameterError):
             TrainConfig(halve_every=0)
+        with pytest.raises(ParameterError):
+            TrainConfig(seed=-1)
 
 
 class TestCheckpoint:
