@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -34,27 +36,23 @@ from .train import TrainConfig, load_checkpoint, train
 
 __all__ = ["main", "read_run_config", "CONFIG_SCHEMA"]
 
+
+def _hparams(cls) -> dict:
+    """Config key -> field, for the fields of `cls` declared with
+    `model.hparam`; the other fields come from the data or the manifest."""
+    return {f.metadata["key"] or f.name: f for f in fields(cls) if "help" in f.metadata}
+
+
 # config-file schema: key -> (type, default or REQUIRED, help)
 _REQ = object()
 CONFIG_SCHEMA = {
     "manifest": (str, _REQ, "dataset manifest path, relative to the config file"),
     "scale": (int, None, "upscaling factor; default: taken from the manifest"),
-    "stages": (int, 4, "refinement stages T"),
-    "units_per_stage": (int, 3, "embedding units J per stage"),
-    "channels": (int, 32, "feature channels C"),
-    "lr0": (float, 5e-4, "initial Adam learning rate"),
-    "beta1": (float, 0.9, "Adam first-moment decay"),
-    "beta2": (float, 0.999, "Adam second-moment decay"),
-    "eps": (float, 1e-8, "Adam epsilon"),
-    "halve_every": (int, 25, "halve the learning rate every N main epochs"),
-    "warmup_epochs": (int, 50, "gate-open warm-up epochs"),
-    "main_epochs": (int, 100, "joint training epochs"),
-    "batch": (int, 4, "patches per optimization step"),
-    "lambda": (float, 1.0, "weight of the source-consistency loss term"),
-    "seed": (int, 0, "training seed"),
-    "tau": (float, 2.0 / 3.0, "gate relaxation temperature"),
-    "augment": (bool, True, "random rotations/flips during training"),
-    "checkpoint_every": (int, 0, "periodic checkpoint interval; 0 = final only"),
+    **{
+        key: (get_type_hints(cls)[f.name], f.default, f.metadata["help"])
+        for cls in (NetConfig, TrainConfig)
+        for key, f in _hparams(cls).items()
+    },
 }
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -156,28 +154,9 @@ def cmd_train(args) -> int:
     if not train_rel:
         raise ParameterError(f"{man_path}: manifest has no train entries")
     bands = read_cube(man_path.parent / train_rel[0]).bands
-    net_cfg = NetConfig(
-        bands=bands,
-        scale=scale,
-        stages=values["stages"],
-        units_per_stage=values["units_per_stage"],
-        channels=values["channels"],
-    )
-    tcfg = TrainConfig(
-        lr0=values["lr0"],
-        beta1=values["beta1"],
-        beta2=values["beta2"],
-        eps=values["eps"],
-        halve_every=values["halve_every"],
-        warmup_epochs=values["warmup_epochs"],
-        main_epochs=values["main_epochs"],
-        batch=values["batch"],
-        lam=values["lambda"],
-        seed=values["seed"],
-        tau=values["tau"],
-        augment=values["augment"],
-        checkpoint_every=values["checkpoint_every"],
-    )
+    net_cfg = NetConfig(bands=bands, scale=scale,
+                        **{f.name: values[k] for k, f in _hparams(NetConfig).items()})
+    tcfg = TrainConfig(**{f.name: values[k] for k, f in _hparams(TrainConfig).items()})
     train(man, net_cfg, tcfg, args.out, base_dir=man_path.parent, log_cb=print)
     print(f"checkpoint written to {Path(args.out) / 'checkpoint.pdec'}")
     return 0

@@ -79,9 +79,11 @@ def _values(x) -> np.ndarray:
 # inference
 
 
-def _lr_input(cube, n: int):
+def _lr_input(cube, n: int, seed):
     if n < 1:
         raise ParameterError(f"need at least one sample, got {n}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     x = _values(cube)
     if x.ndim != 3:
         raise DimensionError(f"expected a [B,h,w] cube, got shape {x.shape}")
@@ -100,7 +102,7 @@ def mc_mean(net: SRNet, cube, n: int, seed) -> HSCube:
     as in `mc_infer`; the result matches `mc_infer`'s mean to float32
     rounding (the affine half runs once, on the mean features).
     """
-    xb, name = _lr_input(cube, n)
+    xb, name = _lr_input(cube, n, seed)
     y = mean_estimate(net, xb, _sample_rngs(n, seed)).data[0]
     return HSCube(np.clip(y, 0.0, 1.0).astype(np.float32), name=name)
 
@@ -113,7 +115,7 @@ def mc_infer(net: SRNet, cube, n: int, seed):
     so it does not depend on N; the samples are views into one float32
     [N,B,H,W] stack.
     """
-    xb, name = _lr_input(cube, n)
+    xb, name = _lr_input(cube, n, seed)
     _, b, h, w = xb.shape
     a = net.cfg.scale
     stack = np.empty((n, b, h * a, w * a), dtype=np.float32)

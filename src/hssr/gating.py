@@ -39,15 +39,15 @@ class GateParams:
     """One logit per gated channel plus the relaxation temperature."""
 
     logits: Param
-    tau: float = 2.0 / 3.0
+    tau: float
 
     @property
     def channels(self) -> int:
         return self.logits.data.shape[0]
 
 
-def init_gate(name: str, channels: int, keep_prob: float = 0.9,
-              tau: float = 2.0 / 3.0, dtype=np.float32) -> GateParams:
+def init_gate(name: str, channels: int, keep_prob: float, tau: float,
+              dtype=np.float32) -> GateParams:
     """Gate whose channels all start at the given keep probability."""
     if channels < 1:
         raise ParameterError(f"gate needs at least one channel, got {channels}")

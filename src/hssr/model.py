@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .gating import MODES, GateParams, init_gate, mask_for
+from .gating import MODES, GateParams, mask_for
 from .tensor import (
     Graph,
     Param,
@@ -47,6 +47,8 @@ __all__ = [
     "AggBlock",
     "StageNet",
     "SRNet",
+    "hparam",
+    "assemble",
     "build_net",
     "parameters",
     "unit_forward",
@@ -62,15 +64,27 @@ __all__ = [
 ]
 
 _DEGRADE_KERNEL = {2: 3, 4: 5, 8: 9}
+_KEEP_PROB = 0.9  # every gate channel's keep probability in a fresh network
+
+
+def hparam(default, help: str, key: str = None):
+    """A hyperparameter field of `NetConfig` or `TrainConfig`: its default,
+    and the help text `hssr train --help` lists. The run configuration file
+    names it by the field name, or by `key` where that name cannot serve."""
+    return field(default=default, metadata={"help": help, "key": key})
 
 
 @dataclass
 class NetConfig:
+    """The architecture. `bands` comes from the data and `scale` by default
+    from the dataset manifest; each checkpoint stores every field."""
+
     bands: int
     scale: int = 4
-    stages: int = 4
-    units_per_stage: int = 3
-    channels: int = 32
+    stages: int = hparam(4, "refinement stages T")
+    units_per_stage: int = hparam(3, "embedding units J per stage")
+    channels: int = hparam(32, "feature channels C")
+    tau: float = hparam(2.0 / 3.0, "gate relaxation temperature")
 
     def __post_init__(self):
         if self.bands < 1:
@@ -83,6 +97,13 @@ class NetConfig:
             raise ParameterError(f"units_per_stage must be >= 1, got {self.units_per_stage}")
         if self.channels < 4:
             raise ParameterError(f"channels must be >= 4, got {self.channels}")
+        # checkpoints store tau as float32; round it now so a save/load round
+        # trip leaves every forward bit-identical
+        with np.errstate(over="ignore"):
+            tau = float(np.float32(self.tau))
+        if not 0 < tau < np.inf:  # also false for nan
+            raise ParameterError(f"tau must be finite and > 0 in float32, got {self.tau}")
+        self.tau = tau
 
     @property
     def degrade_kernel(self) -> int:
@@ -132,77 +153,78 @@ class SRNet:
     cfg: NetConfig
     stages: list
     degrade_layer: ConvLayer
-    tau: float = 2.0 / 3.0
-    _params: list = field(default_factory=list, repr=False)
+    _params: list = field(repr=False)  # parameters() order
 
 
-def _init_conv(name: str, cout: int, cin_g: int, kh: int, kw: int,
-               rng: np.random.Generator, dtype, **conv_kw) -> ConvLayer:
-    bound = 1.0 / np.sqrt(cin_g * kh * kw)
-    kernel = rng.uniform(-bound, bound, size=(cout, cin_g, kh, kw)).astype(dtype)
-    return ConvLayer(
-        Param(f"{name}.kernel", kernel),
-        Param(f"{name}.bias", np.zeros(cout, dtype=dtype)),
-        **conv_kw,
-    )
+def _uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    bound = 1.0 / np.sqrt(np.prod(shape[1:]))  # 1/sqrt(fan_in) of a conv kernel
+    return rng.uniform(-bound, bound, size=shape)
 
 
-def build_net(cfg: NetConfig, rng: np.random.Generator, keep_prob: float = 0.9,
-              tau: float = 2.0 / 3.0, dtype=np.float32) -> SRNet:
-    """Fresh network: uniform(-1/sqrt(fan_in)) conv weights, zero biases,
-    box-filter degradation kernel, all gate logits at sigmoid^-1(keep_prob)."""
-    # tau is stored as float32 in checkpoints; canonicalize now so a
-    # save/load round trip leaves forward computations bit-identical.
-    tau = float(np.float32(tau))
+def _zeros(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    return np.zeros(shape)
+
+
+def _keep_logits(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    return np.full(shape, np.log(_KEEP_PROB / (1.0 - _KEEP_PROB)))
+
+
+def _box(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    b, _, k, _ = shape
+    box = np.zeros(shape)
+    box[np.arange(b), np.arange(b)] = 1.0 / (k * k)
+    return box
+
+
+def assemble(cfg: NetConfig, param) -> SRNet:
+    """The network `cfg` describes, with each parameter made by
+    `param(name, shape, init)` in `parameters` order; `init(rng, shape)`
+    draws the parameter's fresh value in float64.
+
+    `build_net` passes a `param` that draws; `load_checkpoint` passes one
+    that takes the file's arrays, so a file that does not match its config
+    is rejected before anything sized by that config is allocated.
+    """
+    made = []
+
+    def new(name, shape, init):
+        made.append(param(name, shape, init))
+        return made[-1]
+
+    def conv(name, cout, cin_g, k, **conv_kw):
+        return ConvLayer(new(f"{name}.kernel", (cout, cin_g, k, k), _uniform),
+                         new(f"{name}.bias", (cout,), _zeros), **conv_kw)
+
+    def gate(name, channels):
+        return GateParams(new(name, (channels,), _keep_logits), cfg.tau)
+
     b, c, a = cfg.bands, cfg.channels, cfg.scale
     stages = []
     for t in range(1, cfg.stages + 1):
         pre = f"stage{t}"
-        stem = _init_conv(f"{pre}.stem", c, b, 1, 1, rng, dtype)
+        stem = conv(f"{pre}.stem", c, b, 1)
         units, aggs = [], []
         for j in range(1, cfg.units_per_stage + 1):
-            aggs.append(AggBlock(
-                init_gate(f"{pre}.agg{j}.gate_k", j * c, keep_prob, tau, dtype),
-                _init_conv(f"{pre}.agg{j}.compress", c, j * c, 1, 1, rng, dtype),
-            ))
-            units.append(EmbedUnit(
-                _init_conv(f"{pre}.unit{j}.spe", c, c, 1, 1, rng, dtype),
-                _init_conv(f"{pre}.unit{j}.spa", c, 1, 3, 3, rng, dtype,
-                           padding=1, groups=c),
-                init_gate(f"{pre}.unit{j}.gate_l", 2 * c, keep_prob, tau, dtype),
-            ))
-        head = _init_conv(f"{pre}.head", b * a * a, c, 3, 3, rng, dtype, padding=1)
-        tail = _init_conv(f"{pre}.tail", b, b, 3, 3, rng, dtype, padding=1)
+            aggs.append(AggBlock(gate(f"{pre}.agg{j}.gate_k", j * c),
+                                 conv(f"{pre}.agg{j}.compress", c, j * c, 1)))
+            units.append(EmbedUnit(conv(f"{pre}.unit{j}.spe", c, c, 1),
+                                   conv(f"{pre}.unit{j}.spa", c, 1, 3, padding=1, groups=c),
+                                   gate(f"{pre}.unit{j}.gate_l", 2 * c)))
+        head = conv(f"{pre}.head", b * a * a, c, 3, padding=1)
+        tail = conv(f"{pre}.tail", b, b, 3, padding=1)
         stages.append(StageNet(stem, units, aggs, head, tail))
-
     k = cfg.degrade_kernel
-    box = np.zeros((b, b, k, k), dtype=dtype)
-    for i in range(b):
-        box[i, i] = 1.0 / (k * k)
-    deg = ConvLayer(
-        Param("degrade.kernel", box),
-        Param("degrade.bias", np.zeros(b, dtype=dtype)),
-        stride=a,
-        padding=(k - 1) // 2,
-    )
-    net = SRNet(cfg, stages, deg, tau=tau)
-    net._params = _collect_params(net)
-    return net
-
-
-def _collect_params(net: SRNet) -> list:
-    out = []
-    for st in net.stages:
-        out += [st.stem.kernel, st.stem.bias]
-        for agg, unit in zip(st.aggs, st.units):
-            out += [agg.gate_k.logits, agg.compress.kernel, agg.compress.bias]
-            out += [unit.spe.kernel, unit.spe.bias, unit.spa.kernel, unit.spa.bias,
-                    unit.gate_l.logits]
-        out += [st.head.kernel, st.head.bias, st.tail.kernel, st.tail.bias]
-    out += [net.degrade_layer.kernel, net.degrade_layer.bias]
-    names = [p.name for p in out]
+    deg = ConvLayer(new("degrade.kernel", (b, b, k, k), _box), new("degrade.bias", (b,), _zeros),
+                    stride=a, padding=(k - 1) // 2)
+    names = [p.name for p in made]
     assert len(names) == len(set(names)), "parameter names must be unique"
-    return out
+    return SRNet(cfg, stages, deg, _params=made)
+
+
+def build_net(cfg: NetConfig, rng: np.random.Generator, dtype=np.float32) -> SRNet:
+    """Fresh network: uniform(-1/sqrt(fan_in)) conv weights, zero biases,
+    box-filter degradation kernel, every gate logit at sigmoid^-1(0.9)."""
+    return assemble(cfg, lambda name, shape, init: Param(name, init(rng, shape).astype(dtype)))
 
 
 def parameters(net: SRNet) -> list:

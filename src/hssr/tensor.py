@@ -210,13 +210,17 @@ def _check_dtypes(op: str, *tensors: Tensor) -> None:
             raise ParameterError(f"{op}: mixed dtypes {dt} and {t.dtype}")
 
 
-def _emit(op: str, data: np.ndarray, inputs: Sequence[Tensor], grad_fn_factory) -> Tensor:
-    """Return a constant when no input is tracked, else record on the tape."""
+def _emit(op: str, data: np.ndarray, inputs: Sequence[Tensor], grad_fn: Callable) -> Tensor:
+    """Return a constant when no input is tracked, else record on the tape.
+
+    `grad_fn` must not hold a Tensor: a tracked one points back at the tape,
+    and that cycle would leave every dead tape to the cyclic collector.
+    """
     g = _common_graph(*inputs)
     if g is None:
         return Tensor(data)
     ids = tuple(t.node_id if t.graph is not None else None for t in inputs)
-    return g._record(op, data, ids, grad_fn_factory())
+    return g._record(op, data, ids, grad_fn)
 
 
 def _check_shapes(op: str, a: Tensor, b: Tensor) -> None:
@@ -232,60 +236,35 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_dtypes("add", a, b)
     _check_shapes("add", a, b)
-    out = a.data + b.data
-
-    def factory():
-        return lambda g: (g, g)
-
-    return _emit("add", out, (a, b), factory)
+    return _emit("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_dtypes("sub", a, b)
     _check_shapes("sub", a, b)
-    out = a.data - b.data
-
-    def factory():
-        return lambda g: (g, -g)
-
-    return _emit("sub", out, (a, b), factory)
+    return _emit("sub", a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_dtypes("mul", a, b)
     _check_shapes("mul", a, b)
-    out = a.data * b.data
     ad, bd = a.data, b.data
-
-    def factory():
-        return lambda g: (g * bd, g * ad)
-
-    return _emit("mul", out, (a, b), factory)
+    return _emit("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(a, s: float) -> Tensor:
     a = _as_tensor(a)
     s = float(s)
-    out = a.data * a.dtype.type(s)
-
-    def factory():
-        return lambda g: (g * g.dtype.type(s),)
-
-    return _emit("scale", out, (a,), factory)
+    return _emit("scale", a.data * a.dtype.type(s), (a,), lambda g: (g * g.dtype.type(s),))
 
 
 def relu(a) -> Tensor:
     """max(x, 0); the subgradient at exactly 0 is taken as 0."""
     a = _as_tensor(a)
-    out = np.maximum(a.data, 0)
     mask = a.data > 0
-
-    def factory():
-        return lambda g: (g * mask,)
-
-    return _emit("relu", out, (a,), factory)
+    return _emit("relu", np.maximum(a.data, 0), (a,), lambda g: (g * mask,))
 
 
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
@@ -300,33 +279,20 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     out = _sigmoid_stable(a.data)
-
-    def factory():
-        return lambda g: (g * out * (1 - out),)
-
-    return _emit("sigmoid", out, (a,), factory)
+    return _emit("sigmoid", out, (a,), lambda g: (g * out * (1 - out),))
 
 
 def absolute(a) -> Tensor:
     a = _as_tensor(a)
-    out = np.abs(a.data)
     sgn = np.sign(a.data)
-
-    def factory():
-        return lambda g: (g * sgn,)
-
-    return _emit("abs", out, (a,), factory)
+    return _emit("abs", np.abs(a.data), (a,), lambda g: (g * sgn,))
 
 
 def mean_all(a) -> Tensor:
     a = _as_tensor(a)
     out = np.asarray(a.data.mean(), dtype=a.dtype)
     shape, n = a.shape, a.data.size
-
-    def factory():
-        return lambda g: (np.full(shape, g / n, dtype=g.dtype),)
-
-    return _emit("mean", out, (a,), factory)
+    return _emit("mean", out, (a,), lambda g: (np.full(shape, g / n, dtype=g.dtype),))
 
 
 def gate_channels(x, m, start: int = 0) -> Tensor:
@@ -341,17 +307,13 @@ def gate_channels(x, m, start: int = 0) -> Tensor:
     if not 0 <= start <= n - c:
         raise ParameterError(f"gate_channels: {c} channels from {start} overrun a mask of {n}")
     xd, mc = x.data, m.data[start:start + c].reshape(1, c, 1, 1)
-    out = xd * mc
 
-    def factory():
-        def grad_fn(g):
-            gm = np.zeros(n, dtype=g.dtype)
-            gm[start:start + c] = (g * xd).sum(axis=(0, 2, 3))
-            return (g * mc, gm)
+    def grad_fn(g):
+        gm = np.zeros(n, dtype=g.dtype)
+        gm[start:start + c] = (g * xd).sum(axis=(0, 2, 3))
+        return (g * mc, gm)
 
-        return grad_fn
-
-    return _emit("gate_channels", out, (x, m), factory)
+    return _emit("gate_channels", xd * mc, (x, m), grad_fn)
 
 
 def concat_channels(tensors: Sequence) -> Tensor:
@@ -366,18 +328,13 @@ def concat_channels(tensors: Sequence) -> Tensor:
             raise DimensionError(
                 f"concat_channels: incompatible shapes {first} and {t.shape}"
             )
-    out = np.concatenate([t.data for t in ts], axis=1)
     sizes = [t.shape[1] for t in ts]
 
-    def factory():
+    def grad_fn(g):
         bounds = np.cumsum([0] + sizes)
+        return tuple(g[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
-        def grad_fn(g):
-            return tuple(g[:, bounds[i]:bounds[i + 1]] for i in range(len(sizes)))
-
-        return grad_fn
-
-    return _emit("concat", out, ts, factory)
+    return _emit("concat", np.concatenate([t.data for t in ts], axis=1), ts, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -545,55 +502,50 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
                           out=out[b].reshape(cout, ho * wo)[:, r0 * wo:(r0 + r) * wo])
     out += bias.data.reshape(1, cout, 1, 1)
 
-    def factory():
-        need_x = x.graph is not None
-        need_k = kernel.graph is not None
-        need_b = bias.graph is not None
+    need_x, need_k, need_b = x.requires_grad, kernel.requires_grad, bias.requires_grad
 
-        # keeps the unpadded input and the kernel data only; taps, column
-        # buffers and the permuted kernel are rebuilt here, so the tape does
-        # not hold them
-        def grad_fn(go):
-            gb = go.sum(axis=(0, 2, 3)) if need_b else None
-            gk = gx = None
-            if need_x:
-                gx = np.zeros_like(xd)
-            if depthwise:
-                taps = _taps(kh, kw, stride, padding, h, w, 0, ho, wo)
-                if need_k:
-                    gk = np.zeros((cout, ntap), dtype=go.dtype)
-                    for t, (ys, xs), (dy, dx) in taps:
-                        gk[:, t] = np.einsum("nchw,nchw->c", xd[:, :, ys, xs], go[:, :, dy, dx])
-                    gk = gk.reshape(kd.shape)
-                if need_x:
-                    for t, (ys, xs), (dy, dx) in taps:
-                        gx[:, :, ys, xs] += go[:, :, dy, dx] * ktap[t]
-                return (gx, gk, gb)
-            kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
-            gkm = np.zeros((cout, ntap * cin), dtype=go.dtype) if need_k else None
-            go3 = go.reshape(n, cout, ho * wo)
-            buf = np.empty(ntap * cin * rows * wo, dtype=go.dtype)
-            for r0, r in blocks:
-                taps = _taps(kh, kw, stride, padding, h, w, r0, r0 + r, wo)
-                cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
-                cmat = cols.reshape(ntap * cin, r * wo)
-                for b in range(n):
-                    go_blk = go3[b, :, r0 * wo:(r0 + r) * wo]
-                    if need_k:
-                        if padding:  # zero the strips; the input gradient writes over them
-                            cols.fill(0)
-                        _gather(xd[b], taps, cols)
-                        gkm += go_blk @ cmat.T
-                    if need_x:
-                        np.matmul(kmat.T, go_blk, out=cmat)
-                        _scatter(cols, taps, gx[b])
+    # keeps the unpadded input and the kernel data only; taps, column
+    # buffers and the permuted kernel are rebuilt here, so the tape does
+    # not hold them
+    def grad_fn(go):
+        gb = go.sum(axis=(0, 2, 3)) if need_b else None
+        gk = gx = None
+        if need_x:
+            gx = np.zeros_like(xd)
+        if depthwise:
+            taps = _taps(kh, kw, stride, padding, h, w, 0, ho, wo)
             if need_k:
-                gk = gkm.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+                gk = np.zeros((cout, ntap), dtype=go.dtype)
+                for t, (ys, xs), (dy, dx) in taps:
+                    gk[:, t] = np.einsum("nchw,nchw->c", xd[:, :, ys, xs], go[:, :, dy, dx])
+                gk = gk.reshape(kd.shape)
+            if need_x:
+                for t, (ys, xs), (dy, dx) in taps:
+                    gx[:, :, ys, xs] += go[:, :, dy, dx] * ktap[t]
             return (gx, gk, gb)
+        kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
+        gkm = np.zeros((cout, ntap * cin), dtype=go.dtype) if need_k else None
+        go3 = go.reshape(n, cout, ho * wo)
+        buf = np.empty(ntap * cin * rows * wo, dtype=go.dtype)
+        for r0, r in blocks:
+            taps = _taps(kh, kw, stride, padding, h, w, r0, r0 + r, wo)
+            cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
+            cmat = cols.reshape(ntap * cin, r * wo)
+            for b in range(n):
+                go_blk = go3[b, :, r0 * wo:(r0 + r) * wo]
+                if need_k:
+                    if padding:  # zero the strips; the input gradient writes over them
+                        cols.fill(0)
+                    _gather(xd[b], taps, cols)
+                    gkm += go_blk @ cmat.T
+                if need_x:
+                    np.matmul(kmat.T, go_blk, out=cmat)
+                    _scatter(cols, taps, gx[b])
+        if need_k:
+            gk = gkm.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+        return (gx, gk, gb)
 
-        return grad_fn
-
-    return _emit("conv2d", out, (x, kernel, bias), factory)
+    return _emit("conv2d", out, (x, kernel, bias), grad_fn)
 
 
 def pixel_shuffle(x, r: int) -> Tensor:
@@ -617,18 +569,10 @@ def pixel_shuffle(x, r: int) -> Tensor:
         .reshape(n, c, h * r, w * r)
     )
 
-    def factory():
-        def grad_fn(g):
-            gi = (
-                g.reshape(n, c, h, r, w, r)
-                .transpose(0, 1, 3, 5, 2, 4)
-                .reshape(n, c2, h, w)
-            )
-            return (gi,)
+    def grad_fn(g):
+        return (g.reshape(n, c, h, r, w, r).transpose(0, 1, 3, 5, 2, 4).reshape(n, c2, h, w),)
 
-        return grad_fn
-
-    return _emit("pixel_shuffle", np.ascontiguousarray(out), (x,), factory)
+    return _emit("pixel_shuffle", np.ascontiguousarray(out), (x,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,25 @@ noise bit-exactly.
 
 Checkpoints use a small binary container (magic ``PDEC``): u32 format
 version, u32 entry count, then per entry a length-prefixed utf-8 name, u32
-rank, u32 dims, and a little-endian float32 payload. Network hyperparameters
-ride along as scalar ``config.*`` entries so a checkpoint is self-contained.
+rank, u32 dims, and a little-endian float32 payload. Every `NetConfig` field
+rides along first, in declaration order, as a scalar ``config.<field>``
+entry, so a checkpoint is self-contained.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError, TrainingError
 from .hsdata import DatasetManifest, HSCube, atomic_write, augment, lr_counterpart, read_cube
-from .model import NetConfig, SRNet, build_net, forward, loss, parameters
-from .tensor import Graph, Tensor, backward
+from .model import NetConfig, SRNet, assemble, build_net, forward, hparam, loss, parameters
+from .tensor import Graph, Param, Tensor, backward
 
 __all__ = [
     "TrainConfig",
@@ -41,32 +43,32 @@ __all__ = [
 _CKPT_MAGIC = b"PDEC"
 _CKPT_VERSION = 1
 
-_CONFIG_KEYS = ("bands", "scale", "stages", "units_per_stage", "channels", "tau")
-
 
 @dataclass
 class TrainConfig:
-    lr0: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    halve_every: int = 25
-    warmup_epochs: int = 50  # desk-scale runs use much smaller values
-    main_epochs: int = 100
-    batch: int = 4
-    lam: float = 1.0  # weight of the source-consistency term
-    seed: int = 0
-    tau: float = 2.0 / 3.0
-    augment: bool = True  # random dihedral transform per sample per epoch
-    checkpoint_every: int = 0  # extra periodic checkpoints; 0 = final only
+    lr0: float = hparam(5e-4, "initial Adam learning rate")
+    beta1: float = hparam(0.9, "Adam first-moment decay")
+    beta2: float = hparam(0.999, "Adam second-moment decay")
+    eps: float = hparam(1e-8, "Adam epsilon")
+    halve_every: int = hparam(25, "halve the learning rate every N main epochs")
+    warmup_epochs: int = hparam(50, "gate-open warm-up epochs")
+    main_epochs: int = hparam(100, "joint training epochs")
+    batch: int = hparam(4, "patches per optimization step")
+    lam: float = hparam(1.0, "weight of the source-consistency loss term", key="lambda")
+    seed: int = hparam(0, "training seed")
+    augment: bool = hparam(True, "random rotations/flips during training")
+    checkpoint_every: int = hparam(0, "periodic checkpoint interval; 0 = final only")
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ParameterError(f"lr0 must be positive, got {self.lr0}")
+        # the chained comparisons below are false for nan as well
+        if not 0 < self.lr0 < np.inf:
+            raise ParameterError(f"lr0 must be finite and > 0, got {self.lr0}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ParameterError(f"betas must lie in [0,1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < np.inf:
+            raise ParameterError(f"eps must be finite and > 0, got {self.eps}")
+        if not 0 <= self.lam < np.inf:
+            raise ParameterError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.warmup_epochs < 0 or self.main_epochs < 0:
             raise ParameterError("epoch counts must be >= 0")
         if self.batch < 1:
@@ -205,7 +207,7 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir,
 
     root = np.random.SeedSequence(cfg.seed)
     init_ss, order_ss, gate_ss = root.spawn(3)
-    net = build_net(net_cfg, np.random.default_rng(init_ss), tau=cfg.tau)
+    net = build_net(net_cfg, np.random.default_rng(init_ss))
     params = parameters(net)
     state = init_adam(params, cfg.beta1, cfg.beta2, cfg.eps)
     order_rng = np.random.default_rng(order_ss)
@@ -270,22 +272,11 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir,
 # checkpoint container
 
 
-def _scalar_entries(net: SRNet) -> list:
-    cfg = net.cfg
-    vals = {
-        "bands": cfg.bands,
-        "scale": cfg.scale,
-        "stages": cfg.stages,
-        "units_per_stage": cfg.units_per_stage,
-        "channels": cfg.channels,
-        "tau": net.tau,
-    }
-    return [(f"config.{k}", np.asarray(vals[k], dtype=np.float32)) for k in _CONFIG_KEYS]
-
-
 def save_checkpoint(net: SRNet, path) -> None:
     """Serialize config scalars and every parameter; atomic write."""
-    entries = _scalar_entries(net) + [(p.name, p.data) for p in parameters(net)]
+    entries = [(f"config.{f.name}", np.asarray(getattr(net.cfg, f.name), dtype=np.float32))
+               for f in fields(NetConfig)]
+    entries += [(p.name, p.data) for p in parameters(net)]
     blob = [_CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(entries))]
     for name, arr in entries:
         nb = name.encode("utf-8")
@@ -336,29 +327,31 @@ def load_checkpoint(path) -> SRNet:
         raise FormatError(f"{path}: {len(buf) - off} trailing bytes after last entry")
 
     conf = {}
-    for key in _CONFIG_KEYS:
-        arr = entries.pop(f"config.{key}", None)
+    types = get_type_hints(NetConfig)
+    for f in fields(NetConfig):
+        arr = entries.pop(f"config.{f.name}", None)
         if arr is None:
-            raise FormatError(f"{path}: missing config entry {key!r}")
+            raise FormatError(f"{path}: missing config entry {f.name!r}")
         if arr.size != 1 or not np.isfinite(arr).all():
-            raise FormatError(f"{path}: config entry {key!r} must be one finite value")
+            raise FormatError(f"{path}: config entry {f.name!r} must be one finite value")
         val = float(arr.reshape(()))
-        if key != "tau" and val != int(val):
-            raise FormatError(f"{path}: config entry {key!r} = {val} is not an integer")
-        conf[key] = val if key == "tau" else int(val)
-    tau = conf.pop("tau")
-    net = build_net(NetConfig(**conf), np.random.default_rng(0), tau=tau)
-    for p in parameters(net):
-        if p.name not in entries:
-            raise FormatError(f"{path}: missing parameter {p.name!r}")
-        arr = entries.pop(p.name)
-        if arr.shape != p.data.shape:
+        if types[f.name] is int and val != int(val):
+            raise FormatError(f"{path}: config entry {f.name!r} = {val} is not an integer")
+        conf[f.name] = types[f.name](val)
+
+    def take(name, shape, init):
+        arr = entries.pop(name, None)
+        if arr is None:
+            raise FormatError(f"{path}: missing parameter {name!r}")
+        if arr.shape != shape:
             raise FormatError(
-                f"{path}: parameter {p.name!r} has shape {arr.shape}, expected {p.data.shape}"
+                f"{path}: parameter {name!r} has shape {arr.shape}, expected {shape}"
             )
         if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: parameter {p.name!r} has non-finite values")
-        p.data = arr
+            raise FormatError(f"{path}: parameter {name!r} has non-finite values")
+        return Param(name, arr)
+
+    net = assemble(NetConfig(**conf), take)
     if entries:
         raise FormatError(f"{path}: unknown entries {sorted(entries)[:3]}")
     return net

@@ -1,14 +1,17 @@
 """End-to-end command-line pipeline: prepare, train, sr, uncertainty, eval."""
 
 import gc
+import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hssr.cli import main, read_run_config
+from hssr.cli import CONFIG_SCHEMA, _parse_value, main, read_run_config
 from hssr.errors import FormatError, ParameterError
 from hssr.hsdata import (
     DatasetManifest,
@@ -179,9 +182,32 @@ class TestRunConfig:
             main(["train", "--help"])
         assert ex.value.code == 0
         out = capsys.readouterr().out
-        for key in ("lambda", "warmup_epochs", "tau", "manifest"):
-            assert key in out
-        assert "default: 25" in out  # halve_every
+        listed = {}
+        for line in out.splitlines():
+            m = re.match(r"  (\w+) \((\w+), default: (.*?)\): ", line)
+            if m:
+                listed[m.group(1)] = (m.group(2), m.group(3))
+        assert list(listed) == list(CONFIG_SCHEMA)
+        for key, (typ, default, _help) in CONFIG_SCHEMA.items():
+            shown = "required" if key == "manifest" else str(default)
+            assert listed[key] == (typ.__name__, shown), key
+        assert listed["halve_every"] == ("int", "25") and listed["lambda"] == ("float", "1.0")
+
+    def test_readme_table_matches_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Training configuration", 1)[1].split("\n## ", 1)[0]
+        rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section, flags=re.M))
+        assert list(rows) == list(CONFIG_SCHEMA)
+        for key, cell in rows.items():
+            typ, default, _help = CONFIG_SCHEMA[key]
+            if key == "manifest":
+                assert cell == "required"
+            elif key == "scale":
+                assert cell == "from manifest" and default is None
+            elif typ is float:  # written as a decimal or a fraction such as 2/3
+                assert float(Fraction(cell)) == default, key
+            else:
+                assert _parse_value(key, cell) == default and type(default) is typ, key
 
 
 class TestTrainCommand:
@@ -214,6 +240,16 @@ class TestTrainCommand:
     def test_negative_seed_exit_code(self, run_dir, data_dir, tmp_path):
         rc = main([
             "train", "--config", str(data_dir / "run.cfg"), "--set", "seed=-1",
+            "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("setting", ["lr0=nan", "lr0=inf", "eps=nan", "lambda=-1",
+                                         "lambda=nan", "tau=nan", "tau=0"])
+    def test_bad_float_hyperparameter_exit_code(self, run_dir, data_dir, tmp_path, setting):
+        rc = main([
+            "train", "--config", str(data_dir / "run.cfg"), "--set", setting,
             "--out", str(tmp_path / "r"),
         ])
         assert rc == 2

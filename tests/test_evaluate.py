@@ -171,6 +171,12 @@ class TestMcMean:
             mc_mean(net, _cube(rng, b=4), n=1, seed=0)
 
 
+@pytest.mark.parametrize("fn", [mc_mean, mc_infer], ids=["mc_mean", "mc_infer"])
+def test_negative_seed_is_parameter_error(rng, fn):
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        fn(small_net(), _cube(rng), n=2, seed=-1)
+
+
 class TestUncertainty:
     def test_identical_samples_score_zero(self, rng):
         v = rng.uniform(size=(2, 4, 4)).astype(np.float32)

@@ -93,7 +93,7 @@ class TestSampleSoft:
         with pytest.raises(ParameterError):
             sample_soft(gate, rng)
         with pytest.raises(ParameterError):
-            init_gate("g", 4, tau=-1.0)
+            init_gate("g", 4, 0.9, tau=-1.0)
 
 
 class TestSampleHard:
@@ -144,7 +144,7 @@ class TestExpectationAndWarmup:
 
 class TestDispatchAndInit:
     def test_init_gate_probability(self):
-        gate = init_gate("g", 8, keep_prob=0.9)
+        gate = init_gate("g", 8, keep_prob=0.9, tau=0.5)
         np.testing.assert_allclose(expectation(gate).data, 0.9, atol=1e-6)
         assert gate.logits.data.shape == (8,)
         assert abs(float(gate.logits.data[0]) - 2.197) < 1e-3
@@ -162,6 +162,6 @@ class TestDispatchAndInit:
 
     def test_bad_init_arguments(self):
         with pytest.raises(ParameterError):
-            init_gate("g", 0)
+            init_gate("g", 0, 0.9, 0.5)
         with pytest.raises(ParameterError):
-            init_gate("g", 4, keep_prob=1.0)
+            init_gate("g", 4, keep_prob=1.0, tau=0.5)

@@ -4,6 +4,7 @@ import gc
 import importlib
 import re
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -109,6 +110,18 @@ class TestSchedule:
             TrainConfig(halve_every=0)
         with pytest.raises(ParameterError):
             TrainConfig(seed=-1)
+        nan, inf = float("nan"), float("inf")
+        bad = [("lr0", nan), ("lr0", inf), ("lr0", -inf), ("eps", nan), ("eps", inf),
+               ("eps", 0.0), ("lam", nan), ("lam", inf), ("lam", -1.0), ("beta1", nan)]
+        for key, value in bad:
+            with pytest.raises(ParameterError, match=key[:3]):
+                TrainConfig(**{key: value})
+        TrainConfig(lam=0.0)  # a zero weight switches the consistency term off
+        # tau lives in NetConfig, which rounds it to float32 as checkpoints do
+        for tau in (nan, inf, 0.0, -1.0, 1e-50, 1e39):
+            with pytest.raises(ParameterError, match="tau"):
+                NetConfig(3, tau=tau)
+        assert NetConfig(3, tau=0.1).tau == float(np.float32(0.1))
 
 
 class TestCheckpoint:
@@ -122,7 +135,6 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
         assert loaded.cfg == net.cfg
-        assert loaded.tau == net.tau
         for a, b in zip(parameters(net), parameters(loaded)):
             assert a.name == b.name
             np.testing.assert_array_equal(a.data, b.data)
@@ -232,6 +244,50 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("channels,stages", [(2048, 1), (10**6, 1), (32, 10**6)])
+    def test_oversized_config_rejected_before_allocating(self, tmp_path, channels, stages):
+        # a file of config entries alone: the parameters its config needs
+        # (about 28 MB of float32 at 2048 channels) are missing, so loading
+        # must fail on the first of them without building the network
+        conf = {"bands": 31, "scale": 4, "stages": stages, "units_per_stage": 1,
+                "channels": channels, "tau": 0.5}
+        blob = [b"PDEC", struct.pack("<II", 1, len(conf))]
+        for key, value in conf.items():
+            name = f"config.{key}".encode()
+            blob += [struct.pack("<I", len(name)), name, struct.pack("<If", 0, value)]
+        path = tmp_path / "ck.pdec"
+        path.write_bytes(b"".join(blob))
+        if channels == 2048:
+            assert path.stat().st_size == 168
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="missing parameter 'stage1.stem.kernel'"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_config_entries_follow_net_config_fields(self, tmp_path):
+        net = self._net()
+        net.cfg.tau = 0.25
+        path = tmp_path / "ck.pdec"
+        save_checkpoint(net, path)
+        blob = path.read_bytes()
+        off, conf = 12, {}
+        for _ in range(6):
+            (nlen,) = struct.unpack("<I", blob[off:off + 4])
+            name = blob[off + 4:off + 4 + nlen].decode()
+            off += 4 + nlen
+            assert struct.unpack("<I", blob[off:off + 4]) == (0,)
+            (conf[name],) = struct.unpack("<f", blob[off + 4:off + 8])
+            off += 8
+        assert conf == {"config.bands": 3, "config.scale": 2, "config.stages": 2,
+                        "config.units_per_stage": 1, "config.channels": 4, "config.tau": 0.25}
+        assert load_checkpoint(path).cfg == net.cfg
+
+
 def _with_first_value(blob: bytes, name: bytes, value: float) -> bytes:
     """PDEC bytes with the first payload value of entry `name` replaced."""
     i = blob.index(name) + len(name)
@@ -295,7 +351,7 @@ class TestTrainLoop:
         train(man, NET3, cfg, tmp_path / "run", base_dir=tmp_path)
         loaded = load_checkpoint(tmp_path / "run" / "checkpoint.pdec")
         init_ss = np.random.SeedSequence(9).spawn(3)[0]
-        fresh = build_net(NET3, np.random.default_rng(init_ss), tau=cfg.tau)
+        fresh = build_net(NET3, np.random.default_rng(init_ss))
         for a, b in zip(parameters(fresh), parameters(loaded)):
             np.testing.assert_array_equal(a.data, b.data, err_msg=a.name)
 
