@@ -7,31 +7,4 @@ Monte-Carlo inference with epistemic uncertainty maps, and the MPSNR /
 MSSIM / SAM metric suite. numpy is the only runtime dependency.
 """
 
-from .errors import DimensionError, FormatError, ParameterError, TrainingError
-from .evaluate import (
-    MetricsReport,
-    UncertaintyMap,
-    mc_infer,
-    mpsnr,
-    mssim,
-    sam,
-    uncertainty,
-)
-from .gating import GateParams, expectation, init_gate, sample_hard, sample_soft
-from .hsdata import (
-    DatasetManifest,
-    HSCube,
-    augment,
-    extract_patches,
-    make_lr,
-    random_smooth_cube,
-    read_cube,
-    read_manifest,
-    write_cube,
-    write_manifest,
-)
-from .model import NetConfig, SRNet, build_net, forward, loss
-from .tensor import Graph, Param, Tensor, backward
-from .train import TrainConfig, adam_step, load_checkpoint, lr_at, save_checkpoint, train
-
 __version__ = "0.1.0"

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _PSNR_CAP = 100.0  # dB assigned when the error is exactly zero
+_SSIM_WINDOW = 11  # extent and spread of the reference SSIM's Gaussian window
+_SSIM_SIGMA = 1.5
 
 
 @dataclass
@@ -169,12 +171,6 @@ def mpsnr(pred, ref) -> float:
     return float(np.mean(out))
 
 
-def _gauss_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    t = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    w = np.exp(-(t * t) / (2.0 * sigma * sigma))
-    return w / w.sum()
-
-
 _SMOOTH_BLOCK = 32  # output rows per Toeplitz block in _smooth_valid
 
 
@@ -209,16 +205,18 @@ def _smooth_valid(maps: np.ndarray, blk: np.ndarray) -> np.ndarray:
     return out
 
 
-def mssim(pred, ref, window: int = 11, sigma: float = 1.5) -> float:
-    """Mean over bands of SSIM (Gaussian window, C1=0.01^2, C2=0.03^2,
-    valid-region averaging, unit dynamic range)."""
+def mssim(pred, ref) -> float:
+    """Mean over bands of SSIM (11x11 Gaussian window, sigma 1.5,
+    C1=0.01^2, C2=0.03^2, valid-region averaging, unit dynamic range)."""
     p, r = _pair(pred, ref, "mssim")
-    if p.shape[1] < window or p.shape[2] < window:
+    if p.shape[1] < _SSIM_WINDOW or p.shape[2] < _SSIM_WINDOW:
         raise ParameterError(
-            f"mssim needs extents >= {window}, got {p.shape[1]}x{p.shape[2]}"
+            f"mssim needs extents >= {_SSIM_WINDOW}, got {p.shape[1]}x{p.shape[2]}"
         )
     c1, c2 = 0.01 ** 2, 0.03 ** 2
-    blk = _toeplitz_block(_gauss_window(window, sigma))
+    t = np.arange(_SSIM_WINDOW, dtype=np.float64) - (_SSIM_WINDOW - 1) / 2.0
+    w = np.exp(-(t * t) / (2.0 * _SSIM_SIGMA * _SSIM_SIGMA))
+    blk = _toeplitz_block(w / w.sum())
     scores = []
     for b in range(p.shape[0]):
         x, y = p[b].astype(np.float64), r[b].astype(np.float64)

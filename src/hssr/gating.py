@@ -46,9 +46,8 @@ class GateParams:
         return self.logits.data.shape[0]
 
 
-def init_gate(name: str, channels: int, keep_prob: float, tau: float,
-              dtype=np.float32) -> GateParams:
-    """Gate whose channels all start at the given keep probability."""
+def init_gate(name: str, channels: int, keep_prob: float, tau: float) -> GateParams:
+    """Float32 gate whose channels all start at the given keep probability."""
     if channels < 1:
         raise ParameterError(f"gate needs at least one channel, got {channels}")
     if not 0.0 < keep_prob < 1.0:
@@ -56,7 +55,7 @@ def init_gate(name: str, channels: int, keep_prob: float, tau: float,
     if tau <= 0:
         raise ParameterError(f"temperature must be positive, got {tau}")
     logit = float(np.log(keep_prob / (1.0 - keep_prob)))
-    return GateParams(Param(name, np.full(channels, logit, dtype=dtype)), tau=tau)
+    return GateParams(Param(name, np.full(channels, logit, dtype=np.float32)), tau=tau)
 
 
 def sample_soft(gate: GateParams, rng: np.random.Generator, graph: Graph = None) -> Tensor:
@@ -94,16 +93,15 @@ def warmup_mask(gate: GateParams) -> Tensor:
 
 def mask_for(gate: GateParams, mode: str, rng: np.random.Generator = None,
              graph: Graph = None) -> Tensor:
-    """Mode dispatch used by the network: warmup|train|sample|expect."""
+    """Mode dispatch used by the network: warmup|train|sample|expect; the
+    two sampling modes need a numpy Generator."""
+    if mode in ("train", "sample") and not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"{mode} mode needs a numpy Generator, got {type(rng).__name__}")
     if mode == "warmup":
         return warmup_mask(gate)
     if mode == "train":
-        if rng is None:
-            raise ParameterError("train mode needs an rng")
         return sample_soft(gate, rng, graph)
     if mode == "sample":
-        if rng is None:
-            raise ParameterError("sample mode needs an rng")
         return sample_hard(gate, rng)
     if mode == "expect":
         return expectation(gate)

@@ -286,36 +286,28 @@ def make_lr(hr: HSCube, alpha: int, noise_sigma: float = 0.0, rng=None) -> HSCub
     return HSCube(lr.astype(np.float32), name=hr.name)
 
 
-def random_smooth_cube(
-    bands: int,
-    height: int,
-    width: int,
-    rng: np.random.Generator,
-    components: int = 4,
-    coarse_grid: int = 8,
-    detail: float = 0.35,
-    name: str = "",
-) -> HSCube:
+def random_smooth_cube(bands: int, height: int, width: int, rng: np.random.Generator,
+                       name: str = "") -> HSCube:
     """Synthetic cube with smooth spectra and two spatial scales.
 
-    Spatial content mixes bicubically-upsampled coarse fields with a
-    half-resolution detail layer, so a downsample-upsample round trip loses
-    real information (otherwise plain interpolation would already be a
-    near-perfect reconstruction and there would be nothing to learn). Band
-    profiles are low-order cosine envelopes, giving the strong inter-band
-    correlation typical of hyperspectral data. Values land in [0.05, 0.95].
+    Spatial content mixes four bicubically-upsampled 8x8 coarse fields with
+    a half-resolution detail layer of weight 0.35, so a downsample-upsample
+    round trip loses real information (otherwise plain interpolation would
+    already be a near-perfect reconstruction and there would be nothing to
+    learn). Band profiles are low-order cosine envelopes, giving the strong
+    inter-band correlation typical of hyperspectral data. Values land in
+    [0.05, 0.95].
     """
     if bands < 1 or height < 8 or width < 8:
         raise ParameterError(f"cube extents too small: {bands}x{height}x{width}")
-    coarse = bicubic_resize_array(
-        rng.random((components, coarse_grid, coarse_grid)), height, width
-    )
+    components = 4
+    coarse = bicubic_resize_array(rng.random((components, 8, 8)), height, width)
     fine = bicubic_resize_array(
         rng.random((components, max(height // 2, 4), max(width // 2, 4))) - 0.5,
         height,
         width,
     )
-    fields = coarse + detail * fine  # [components, H, W]
+    fields = coarse + 0.35 * fine  # [components, H, W]
     t = np.linspace(0.0, 1.0, bands)
     env = np.empty((components, bands))
     for k in range(components):

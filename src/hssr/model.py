@@ -16,12 +16,14 @@ samples without building any of them at HR.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .gating import MODES, GateParams, mask_for
+from .gating import GateParams, mask_for
 from .tensor import (
     Graph,
     Param,
@@ -48,6 +50,7 @@ __all__ = [
     "StageNet",
     "SRNet",
     "hparam",
+    "check_field_types",
     "assemble",
     "build_net",
     "parameters",
@@ -74,6 +77,19 @@ def hparam(default, help: str, key: str = None):
     return field(default=default, metadata={"help": help, "key": key})
 
 
+_FIELD_KINDS = {int: numbers.Integral, float: numbers.Real, bool: bool}
+
+
+def check_field_types(cfg) -> None:
+    """ParameterError unless every field of the config dataclass `cfg` holds
+    its annotated type: an int field an integral number and a float field a
+    real one, neither of them a bool, and a bool field a bool."""
+    for name, typ in get_type_hints(type(cfg)).items():
+        value = getattr(cfg, name)
+        if not isinstance(value, _FIELD_KINDS[typ]) or (typ is not bool and isinstance(value, bool)):
+            raise ParameterError(f"{name} must be {typ.__name__}, got {value!r}")
+
+
 @dataclass
 class NetConfig:
     """The architecture. `bands` comes from the data and `scale` by default
@@ -87,6 +103,7 @@ class NetConfig:
     tau: float = hparam(2.0 / 3.0, "gate relaxation temperature")
 
     def __post_init__(self):
+        check_field_types(self)
         if self.bands < 1:
             raise ParameterError(f"bands must be >= 1, got {self.bands}")
         if self.scale not in _DEGRADE_KERNEL:
@@ -241,12 +258,9 @@ def unit_forward(unit: EmbedUnit, x: Tensor, mode: str, rng=None, graph: Graph =
     """Residual spectral then spatial mixing, each branch gated per channel
     by one half of the 2C mask m: O = x + spe(x) * m[:C];
     out = O + spa(O) * m[C:]."""
-    c = unit.spe.kernel.data.shape[0]
-    if x.shape[1] != c:
-        raise DimensionError(f"unit expects {c} channels, got {x.shape[1]}")
     m = mask_for(unit.gate_l, mode, rng, graph)
     o = add(x, gate_channels(unit.spe.apply(x, graph), m))
-    return add(o, gate_channels(unit.spa.apply(o, graph), m, c))
+    return add(o, gate_channels(unit.spa.apply(o, graph), m, x.shape[1]))
 
 
 def aggregate(stage: StageNet, j: int, feats: list, mode: str, rng=None,
@@ -291,13 +305,6 @@ def degrade(net: SRNet, hr: Tensor, graph: Graph = None) -> Tensor:
     return net.degrade_layer.apply(hr, graph)
 
 
-def _check_mode(mode: str, rng) -> None:
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode in ("train", "sample") and not isinstance(rng, np.random.Generator):
-        raise ParameterError(f"{mode} mode needs a numpy Generator, got {type(rng).__name__}")
-
-
 def _as_input(net: SRNet, x) -> Tensor:
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.data.ndim != 4:
@@ -315,7 +322,6 @@ def estimate(net: SRNet, x, mode: str, rng=None, graph: Graph = None) -> Tensor:
     adds its correction to the running estimate. Output is not clamped
     here; clamping happens only at image export.
     """
-    _check_mode(mode, rng)
     x = _as_input(net, x)
     a = net.cfg.scale
     n, b, h, w = x.shape
@@ -474,7 +480,6 @@ def mean_estimate(net: SRNet, x, rngs) -> Tensor:
     fsum = np.zeros((len(net.stages), n, net.cfg.channels, h, w))
     count = 0
     for rng in rngs:
-        _check_mode("sample", rng)
         count += 1
         xhat = xhat0
         for t, stage in enumerate(net.stages):

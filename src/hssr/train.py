@@ -15,6 +15,7 @@ entry, so a checkpoint is self-contained.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, fields
@@ -25,7 +26,17 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError, TrainingError
 from .hsdata import DatasetManifest, HSCube, atomic_write, augment, lr_counterpart, read_cube
-from .model import NetConfig, SRNet, assemble, build_net, forward, hparam, loss, parameters
+from .model import (
+    NetConfig,
+    SRNet,
+    assemble,
+    build_net,
+    check_field_types,
+    forward,
+    hparam,
+    loss,
+    parameters,
+)
 from .tensor import Graph, Param, Tensor, backward
 
 __all__ = [
@@ -42,6 +53,7 @@ __all__ = [
 
 _CKPT_MAGIC = b"PDEC"
 _CKPT_VERSION = 1
+_CKPT_MAX_RANK = 4  # conv kernels; config entries are scalars
 
 
 @dataclass
@@ -60,6 +72,7 @@ class TrainConfig:
     checkpoint_every: int = hparam(0, "periodic checkpoint interval; 0 = final only")
 
     def __post_init__(self):
+        check_field_types(self)
         # the chained comparisons below are false for nan as well
         if not 0 < self.lr0 < np.inf:
             raise ParameterError(f"lr0 must be finite and > 0, got {self.lr0}")
@@ -77,28 +90,24 @@ class TrainConfig:
             raise ParameterError(f"halve_every must be >= 1, got {self.halve_every}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if self.checkpoint_every < 0:
+            raise ParameterError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
 
 
 @dataclass
 class OptimizerState:
     m: list  # first moments, one array per parameter
     v: list  # second moments
+    cfg: TrainConfig  # supplies beta1, beta2 and eps
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(params: list, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> OptimizerState:
-    return OptimizerState(
-        m=[np.zeros_like(p.data) for p in params],
-        v=[np.zeros_like(p.data) for p in params],
-        step=0,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+def init_adam(params: list, cfg: TrainConfig = None) -> OptimizerState:
+    """Zero moments for `params`; Adam's betas and eps come from `cfg`, by
+    default `TrainConfig`'s."""
+    return OptimizerState(m=[np.zeros_like(p.data) for p in params],
+                          v=[np.zeros_like(p.data) for p in params],
+                          cfg=TrainConfig() if cfg is None else cfg)
 
 
 def adam_step(state: OptimizerState, params: list, grads: list, lr: float) -> None:
@@ -111,7 +120,7 @@ def adam_step(state: OptimizerState, params: list, grads: list, lr: float) -> No
     if len(grads) != len(params):
         raise ParameterError(f"{len(grads)} gradients for {len(params)} parameters")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = state.cfg.beta1, state.cfg.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -132,7 +141,7 @@ def adam_step(state: OptimizerState, params: list, grads: list, lr: float) -> No
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + state.eps)
+        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + state.cfg.eps)
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -146,15 +155,15 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 # data plumbing
 
 
-def load_pairs(man: DatasetManifest, base_dir, role: str = "train") -> list:
-    """(lr, hr) array pairs for every manifest entry of the given role.
+def load_pairs(man: DatasetManifest, base_dir) -> list:
+    """(lr, hr) array pairs for every train entry of the manifest.
 
     Entries point at HR cubes under ``hr/``; the LR mate lives at the same
     path under ``lr/``. All pairs must share one patch geometry.
     """
     base = Path(base_dir)
     pairs = []
-    for rel in man.paths(role):
+    for rel in man.paths("train"):
         hr = read_cube(base / rel)
         lr = read_cube(base / lr_counterpart(rel))
         if lr.bands != hr.bands:
@@ -167,7 +176,7 @@ def load_pairs(man: DatasetManifest, base_dir, role: str = "train") -> list:
         pairs.append((lr.values, hr.values))
     if pairs:
         shape = pairs[0][1].shape
-        for (lrv, hrv), rel in zip(pairs, man.paths(role)):
+        for (lrv, hrv), rel in zip(pairs, man.paths("train")):
             if hrv.shape != shape:
                 raise DimensionError(
                     f"{rel}: patch shape {hrv.shape} differs from {shape}; "
@@ -184,20 +193,20 @@ def _augmented(arr: np.ndarray, code: int) -> np.ndarray:
 # the loop
 
 
-def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir,
-          base_dir=None, log_cb=None):
+def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir, base_dir,
+          log_cb=None):
     """Run warm-up then main training; returns (net, history).
 
-    Writes ``train.log`` (one ``epoch=<i> lr=<f> loss=<f> secs=<f>`` line per
-    epoch, epochs numbered continuously across both phases) and
-    ``checkpoint.pdec`` into out_dir, plus periodic checkpoints when
-    configured. On divergence the last checkpoint already on disk is left in
-    place and a TrainingError is raised.
+    Reads the manifest's cubes under base_dir. Writes ``train.log`` (one
+    ``epoch=<i> lr=<f> loss=<f> secs=<f>`` line per epoch, epochs numbered
+    continuously across both phases) and ``checkpoint.pdec`` into out_dir,
+    plus periodic checkpoints when configured. On divergence the last
+    checkpoint already on disk is left in place and a TrainingError is
+    raised.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = Path(base_dir) if base_dir is not None else out_dir
-    pairs = load_pairs(man, base, "train")
+    pairs = load_pairs(man, base_dir)
     if not pairs:
         raise ParameterError("manifest has no train entries")
     if man.scale != net_cfg.scale:
@@ -209,7 +218,7 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir,
     init_ss, order_ss, gate_ss = root.spawn(3)
     net = build_net(net_cfg, np.random.default_rng(init_ss))
     params = parameters(net)
-    state = init_adam(params, cfg.beta1, cfg.beta2, cfg.eps)
+    state = init_adam(params, cfg)
     order_rng = np.random.default_rng(order_ss)
     gate_rng = np.random.default_rng(gate_ss)
 
@@ -318,9 +327,12 @@ def load_checkpoint(path) -> SRNet:
             raise FormatError(f"{path}: entry name {raw[:32]!r} is not valid utf-8") from None
         raw, off = _read_exact(buf, off, 4, path, "rank")
         (ndim,) = struct.unpack("<I", raw)
+        if ndim > _CKPT_MAX_RANK:
+            raise FormatError(f"{path}: entry {name!r} has rank {ndim}, at most "
+                              f"{_CKPT_MAX_RANK} is allowed")
         raw, off = _read_exact(buf, off, 4 * ndim, path, "shape")
-        shape = struct.unpack(f"<{ndim}I", raw) if ndim else ()
-        n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        shape = struct.unpack(f"<{ndim}I", raw)
+        n = math.prod(shape)  # a Python int: a wrapped count could pass the size check
         raw, off = _read_exact(buf, off, 4 * n, path, f"payload of {name}")
         entries[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
     if off != len(buf):

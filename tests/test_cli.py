@@ -2,6 +2,7 @@
 
 import gc
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -403,6 +404,20 @@ class TestInferenceCommands:
         blob = (run_dir / "checkpoint.pdec").read_bytes()
         bad = tmp_path / "bad.pdec"
         bad.write_bytes(blob.replace(b"stage1.stem.bias", b"stage1.stem.b\xffas"))
+        rc = main([
+            "sr", "--checkpoint", str(bad),
+            "--input", str(data_dir / "lr" / "test"), "--out", str(tmp_path / "p"),
+        ])
+        assert rc == 2
+
+    @pytest.mark.parametrize("dims", [(1 << 31, 1 << 31, 4), (1,) * 65],
+                             ids=["count_wraps_int64", "rank_65"])
+    def test_oversized_checkpoint_entry_is_config_error(self, data_dir, tmp_path, dims):
+        # a header and one entry "a" with these dims; the first one's int64
+        # element count wraps to 0
+        bad = tmp_path / "bad.pdec"
+        bad.write_bytes(b"PDEC" + struct.pack(f"<IIIcI{len(dims)}I", 1, 1, 1, b"a", len(dims),
+                                              *dims))
         rc = main([
             "sr", "--checkpoint", str(bad),
             "--input", str(data_dir / "lr" / "test"), "--out", str(tmp_path / "p"),

@@ -117,6 +117,17 @@ class TestSchedule:
             with pytest.raises(ParameterError, match=key[:3]):
                 TrainConfig(**{key: value})
         TrainConfig(lam=0.0)  # a zero weight switches the consistency term off
+        # each field takes its annotated type; bools are not numbers here
+        wrong = [("batch", 2.5), ("seed", 1.5), ("warmup_epochs", True), ("augment", "no"),
+                 ("augment", 1), ("lr0", "0.1"), ("lam", True), ("checkpoint_every", -3)]
+        for key, value in wrong:
+            with pytest.raises(ParameterError, match=key):
+                TrainConfig(**{key: value})
+        for kwargs in ({"bands": 2.5}, {"bands": 3, "channels": 8.5}, {"bands": 3, "stages": True},
+                       {"bands": 3, "scale": 4.0}, {"bands": 3, "tau": "0.5"}):
+            with pytest.raises(ParameterError, match=list(kwargs)[-1]):
+                NetConfig(**kwargs)
+        TrainConfig(lr0=1, batch=np.int64(2))  # an int is a real number; numpy ints are ints
         # tau lives in NetConfig, which rounds it to float32 as checkpoints do
         for tau in (nan, inf, 0.0, -1.0, 1e-50, 1e39):
             with pytest.raises(ParameterError, match="tau"):
@@ -235,7 +246,11 @@ class TestCheckpoint:
         (lambda b: b.replace(b"stage1.stem.bias", b"stage1.stem.b\xffas"), "utf-8"),
         (lambda b: _with_first_value(b, b"config.bands", 3.7), "not an integer"),
         (lambda b: _with_first_value(b, b"stage1.stem.bias", float("nan")), "non-finite"),
-    ], ids=["name_not_utf8", "config_not_integral", "param_not_finite"])
+        # one entry whose dims (2^31, 2^31, 4) wrap an int64 element count to 0
+        (lambda b: _one_entry_file((1 << 31, 1 << 31, 4)), "truncated"),
+        (lambda b: _one_entry_file((1,) * 65), "rank 65"),
+    ], ids=["name_not_utf8", "config_not_integral", "param_not_finite", "count_wraps_int64",
+            "rank_65"])
     def test_malformed_entry_rejected(self, tmp_path, mutate, match):
         path = tmp_path / "ck.pdec"
         save_checkpoint(self._net(), path)
@@ -294,6 +309,11 @@ def _with_first_value(blob: bytes, name: bytes, value: float) -> bytes:
     (ndim,) = struct.unpack("<I", blob[i:i + 4])
     at = i + 4 + 4 * ndim
     return blob[:at] + struct.pack("<f", value) + blob[at + 4:]
+
+
+def _one_entry_file(dims) -> bytes:
+    """A PDEC file of one entry named "a" with these dims and no payload."""
+    return b"PDEC" + struct.pack(f"<IIIcI{len(dims)}I", 1, 1, 1, b"a", len(dims), *dims)
 
 
 def make_dataset(root, n=3, bands=3, hw=16, scale=2, seed=0):
@@ -434,7 +454,7 @@ class TestTrainLoop:
         # only one step's tape may be alive at a time: the previous graph must
         # be gone, without the cycle collector, when the next forward starts
         man = make_dataset(tmp_path)
-        train_mod = importlib.import_module("hssr.train")  # `hssr.train` is the function
+        train_mod = importlib.import_module("hssr.train")  # `train` here is the function
         real_forward = train_mod.forward
         refs = []
 
@@ -459,7 +479,7 @@ class TestTrainLoop:
 class TestLoadPairs:
     def test_pairs_align(self, tmp_path):
         man = make_dataset(tmp_path, n=2, hw=16, scale=2)
-        pairs = load_pairs(man, tmp_path, "train")
+        pairs = load_pairs(man, tmp_path)
         assert len(pairs) == 2
         for lr, hr in pairs:
             assert lr.shape == (3, 8, 8) and hr.shape == (3, 16, 16)
@@ -468,7 +488,7 @@ class TestLoadPairs:
         man = make_dataset(tmp_path, n=1, hw=16, scale=2)
         bad = DatasetManifest(man.entries, scale=4, patch=16, stride=16)
         with pytest.raises(DimensionError):
-            load_pairs(bad, tmp_path, "train")
+            load_pairs(bad, tmp_path)
 
     def test_uniform_shape_enforced(self, tmp_path):
         man = make_dataset(tmp_path, n=1, hw=16, scale=2)
@@ -478,4 +498,4 @@ class TestLoadPairs:
         write_cube(make_lr(big, 2), tmp_path / "lr" / "train" / "big.hsc")
         man.entries.append(("hr/train/big.hsc", "train"))
         with pytest.raises(DimensionError, match="uniform"):
-            load_pairs(man, tmp_path, "train")
+            load_pairs(man, tmp_path)
