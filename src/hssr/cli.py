@@ -203,8 +203,8 @@ def cmd_uncertainty(args) -> int:
         mean, samples = mc_infer(net, cube, args.n_samples, args.seed)
         umap = uncertainty(samples, mean)
         target = out / f.name if in_path.is_dir() else out
-        # HSC1 stores [0,1]; percentages are scaled down by 100
-        write_cube(HSCube((umap.values / 100.0).astype(np.float32), name=f.stem), target)
+        umap.values /= 100.0  # HSC1 stores [0,1]; percentages are scaled down by 100
+        write_cube(HSCube(umap.values.astype(np.float32), name=f.stem), target)
         del mean, samples, umap
     print(f"wrote {len(files)} uncertainty map(s) -> {out}")
     return 0
@@ -231,8 +231,8 @@ def _bicubic_pairs(files: list, gt_dir: Path, lr_dir: Path):
                 f"{f.stem}: ground truth {gt.height}x{gt.width} is not an integer "
                 f"multiple of LR {lr.height}x{lr.width}"
             )
-        up = np.clip(bicubic_resize_array(lr.values, gt.height, gt.width), 0.0, 1.0)
-        yield f.stem, HSCube(up.astype(np.float32)), gt
+        up = bicubic_resize_array(lr.values, gt.height, gt.width)
+        yield f.stem, HSCube(np.clip(up, 0.0, 1.0, out=up)), gt
 
 
 def cmd_eval(args) -> int:

@@ -106,7 +106,7 @@ def mc_mean(net: SRNet, cube, n: int, seed) -> HSCube:
     """
     xb, name = _lr_input(cube, n, seed)
     y = mean_estimate(net, xb, _sample_rngs(n, seed)).data[0]
-    return HSCube(np.clip(y, 0.0, 1.0).astype(np.float32), name=name)
+    return HSCube(np.clip(y, 0.0, 1.0, out=y), name=name)
 
 
 def mc_infer(net: SRNet, cube, n: int, seed):
@@ -124,9 +124,9 @@ def mc_infer(net: SRNet, cube, n: int, seed):
     for i, rng in enumerate(_sample_rngs(n, seed)):
         # one statement, so the sample's activations die before the next one
         stack[i] = estimate(net, xb, "sample", rng=rng).data[0]
-    mean = np.clip(np.mean(stack, axis=0), 0.0, 1.0)
+    mean = np.mean(stack, axis=0)
     samples = [HSCube(stack[i], name=f"{name}_s{i}") for i in range(n)]
-    return HSCube(mean.astype(np.float32), name=name), samples
+    return HSCube(np.clip(mean, 0.0, 1.0, out=mean), name=name), samples
 
 
 def uncertainty(samples: list, mean) -> UncertaintyMap:
@@ -141,12 +141,15 @@ def uncertainty(samples: list, mean) -> UncertaintyMap:
     for v in vals:
         if v.shape != ref.shape:
             raise DimensionError(f"sample shape {v.shape} != mean shape {ref.shape}")
-    hits = np.zeros(ref.shape, dtype=np.int32)
+    n = len(samples)
+    values = np.empty(ref.shape)
     for b in range(ref.shape[0]):
         ref_bin = np.round(ref[b].astype(np.float64) * 255.0) / 255.0
+        hits = np.zeros(ref.shape[1:], dtype=np.int32)
         for v in vals:
-            hits[b] += np.round(v[b].astype(np.float64) * 255.0) / 255.0 != ref_bin
-    return UncertaintyMap(100.0 * hits / len(samples), n_samples=len(samples))
+            hits += np.round(v[b].astype(np.float64) * 255.0) / 255.0 != ref_bin
+        values[b] = 100.0 * hits / n
+    return UncertaintyMap(values, n_samples=n)
 
 
 # ---------------------------------------------------------------------------

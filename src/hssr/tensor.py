@@ -341,11 +341,11 @@ def concat_channels(tensors: Sequence) -> Tensor:
 # convolution
 
 
-# Byte budget of the dense conv's column buffer, forward and backward: half
-# of a 2 MiB per-core L2, so the gathered block is still in cache when the
-# matmul reads it.
-# Swept at the sr tail, head and degrade shapes on 1 BLAS thread (medians in
-# CHANGES.md): 512 KiB ran the head ~13% slower (narrower matmuls), 2 MiB
+# Byte budget of the dense conv's column buffer, forward and backward, plus
+# the zero-bordered strip of input rows it is gathered from: half of a 2 MiB
+# per-core L2, so the gathered block is still in cache when the matmul reads
+# it. Swept at the sr tail, head and degrade shapes on 1 BLAS thread (medians
+# in CHANGES.md): 512 KiB ran the head ~13% slower (narrower matmuls), 2 MiB
 # ran the 128x128 tail ~8% slower, and a whole-plane buffer ran it 1.9x slower.
 _COLS_BYTES = 1 << 20
 
@@ -354,46 +354,26 @@ def _conv_out_extent(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
 
 
-def _clip(off: int, stride: int, padding: int, size: int, lo: int, hi: int):
-    """Output positions lo <= o < hi whose input stride*o + off - padding
-    lies in [0, size), as (input slice, output slice relative to lo), or
-    None if there are none."""
-    a = max(lo, -((off - padding) // stride))
-    b = min(hi, (size - 1 + padding - off) // stride + 1)
-    if a >= b:
-        return None
+def _clip(off: int, stride: int, padding: int, size: int, n: int):
+    """Outputs 0 <= o < n whose input stride*o + off - padding lies in
+    [0, size), as (input slice, output slice); both empty if there are none."""
+    a = max(0, -((off - padding) // stride))
+    b = max(a, min(n, (size - 1 + padding - off) // stride + 1))
     s0 = stride * a + off - padding
-    return slice(s0, s0 + stride * (b - a - 1) + 1, stride), slice(a - lo, b - lo)
+    return slice(s0, s0 + stride * (b - a), stride), slice(a, b)
 
 
-def _taps(kh: int, kw: int, stride: int, padding: int, h: int, w: int,
-          r0: int, r1: int, wo: int) -> list:
-    """The in-bounds part of each kernel tap over output rows r0..r1-1.
-
-    Entries are (t, (input rows, input cols), (output rows - r0, output
-    cols)) for tap t = i*kw + j. A tap that reads only padding there is left
-    out; output positions whose input lies in the padding are not covered.
-    """
-    xcl = [_clip(j, stride, padding, w, 0, wo) for j in range(kw)]
-    taps = []
-    for i in range(kh):
-        ycl = _clip(i, stride, padding, h, r0, r1)
-        for j in range(kw):
-            if ycl and xcl[j]:
-                taps.append((i * kw + j, (ycl[0], xcl[j][0]), (ycl[1], xcl[j][1])))
-    return taps
-
-
-def _gather(src: np.ndarray, taps: list, cols: np.ndarray) -> None:
-    """Copy each tap of `src` [C, H, W] into its rectangle of `cols` [T, C, r, Wo]."""
-    for t, (ys, xs), (dy, dx) in taps:
-        cols[t, :, dy, dx] = src[:, ys, xs]
-
-
-def _scatter(cols: np.ndarray, taps: list, dst: np.ndarray) -> None:
-    """Add each tap's rectangle of `cols` [T, C, r, Wo] into `dst` [C, H, W]."""
-    for t, (ys, xs), (dy, dx) in taps:
-        dst[:, ys, xs] += cols[t, :, dy, dx]
+def _strip(src: np.ndarray, top: int, rows: int, padding: int, buf) -> np.ndarray:
+    """Rows top..top+rows-1 (top may be negative) of `src` [C, H, W] zero-padded
+    by `padding` on every side: a view at padding 0, else written into `buf`
+    [C, >= rows, W + 2*padding], whose side borders must already be zero."""
+    if not padding:
+        return src[:, top:top + rows]
+    lo, hi = min(max(-top, 0), rows), max(min(src.shape[1] - top, rows), 0)
+    strip = buf[:, :rows]
+    strip[:, :lo] = strip[:, hi:] = 0
+    strip[:, lo:hi, padding:-padding] = src[:, top + lo:top + hi]
+    return strip
 
 
 def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
@@ -411,26 +391,26 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
 
     Output extent per axis is floor((size + 2*padding - k)/stride) + 1.
 
-    The depthwise forward zero-pads the input plane once (not at all when
-    padding is 0) and, tap by tap in row-major order, multiplies one whole
-    strided slice of it into a reused product buffer and adds that into the
-    output. An in-bounds output so gets the same products in the same order
-    as a sum over taps clipped to the input, and the same bits.
-    Everything else walks the kernel taps clipped to the input: tap (i, j)
-    covers only the outputs whose input row stride*y + i - padding and
-    column stride*x + j - padding are in bounds, so no padded copy of the
-    input is made. Dense convs work sample by
-    sample in blocks of output rows, the fewest equal blocks whose
-    [kh*kw*Cin, rows*Wo] column buffer fits in _COLS_BYTES (the last block
-    may be shorter), so the buffer is still in cache when the matmul reads
-    it. Per block, the forward copies each tap's rectangle into the buffer,
-    whose uncovered strips stay zero, and multiplies it into the output; the
-    backward gathers the same columns for the kernel gradient, multiplies
-    the output gradient back into the buffer and adds each tap's rectangle
-    into the input gradient. The block plan depends on the layer and output
-    shapes only, never on the batch size, so a sample's result does not
-    depend on its batch. The depthwise backward does one multiply-add per
-    clipped tap.
+    Every kernel tap (i, j) reads one strided slice of zero-padded input:
+    rows i, i + stride, ... and columns j, j + stride, ..., one per output.
+    The depthwise forward zero-pads the whole input once (not at all when
+    padding is 0) and, tap by tap in row-major order, multiplies one such
+    slice into a reused product buffer and adds that into the output; its
+    input gradient adds each tap's products into the same slice of one
+    zero-padded gradient, which is then cropped.
+    Dense convs work sample by sample in blocks of output rows, the fewest
+    equal blocks whose [kh*kw*Cin, rows*Wo] column buffer and input strip
+    fit in _COLS_BYTES (the last block may be shorter), so the buffer is
+    still in cache when the matmul reads it. Per block and sample, the input
+    rows the block reads are copied into a zero-bordered strip (a view when
+    padding is 0), each tap's slice of it fills the tap's rows of the
+    buffer, and one matmul writes the output rows. The backward gathers the
+    same columns for the kernel gradient, multiplies the output gradient
+    back into the buffer and adds each tap's rows into its slice of one
+    zero-padded input gradient for the whole batch. The block plan depends
+    on the layer and output shapes only, never on the batch size, so a
+    sample's result does not depend on its batch. The depthwise kernel
+    gradient sums each tap over the outputs whose input is in bounds only.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     _check_dtypes("conv2d", x, kernel, bias)
@@ -467,83 +447,95 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
     ho = _conv_out_extent(h, kh, stride, padding)
     wo = _conv_out_extent(w, kw, stride, padding)
     ntap = kh * kw
+    padded = (n, cin, h + 2 * padding, w + 2 * padding)
+
+    def tap(a, t, rows=ho, top=0):  # what tap t = i*kw + j reads from padded row top on
+        i, j = divmod(t, kw)
+        return a[..., top + i:top + i + stride * (rows - 1) + 1:stride,
+                 j:j + stride * (wo - 1) + 1:stride]
+
     if depthwise:
         ktap = kd.reshape(cout, ntap).T[:, None, :, None, None]  # [T, 1, C, 1, 1] view
         xp = xd
         if padding:
-            xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
+            xp = np.zeros(padded, dtype=xd.dtype)
             xp[:, :, padding:padding + h, padding:padding + w] = xd
-
-        def plane(t):  # what tap t = i*kw + j reads for every output
-            i, j = divmod(t, kw)
-            return xp[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
-
-        out = plane(0) * ktap[0]
+        out = tap(xp, 0) * ktap[0]
         prod = np.empty_like(out)
         for t in range(1, ntap):
-            np.multiply(plane(t), ktap[t], out=prod)
+            np.multiply(tap(xp, t), ktap[t], out=prod)
             out += prod
     else:
-        # rows per block: the fewest equal blocks whose buffer fits the budget
-        rows = max(1, _COLS_BYTES // (ntap * cin * wo * xd.itemsize))
+        # rows per block: the fewest equal blocks whose column buffer and
+        # strip (when that is a copy) fit the budget
+        sw, copied = w + 2 * padding, int(padding > 0)
+        room = _COLS_BYTES // (cin * xd.itemsize) - copied * (kh - stride) * sw
+        rows = max(1, room // (ntap * wo + copied * stride * sw))
         rows = -(-ho // -(-ho // rows))
         blocks = [(r0, min(rows, ho - r0)) for r0 in range(0, ho, rows)]
+
+        def gather(b, r0, r, cols, sbuf):  # the columns of sample b's output rows r0..r0+r-1
+            strip = _strip(xd[b], stride * r0 - padding, stride * (r - 1) + kh, padding, sbuf)
+            for t in range(ntap):
+                cols[t] = tap(strip, t, r)
+
         kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
         out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
         buf = np.empty(ntap * cin * rows * wo, dtype=xd.dtype)
+        sbuf = np.zeros((cin, stride * (rows - 1) + kh, sw), dtype=xd.dtype) if padding else None
         for r0, r in blocks:
-            taps = _taps(kh, kw, stride, padding, h, w, r0, r0 + r, wo)
             cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
-            if padding:  # zero the strips that no tap covers
-                cols.fill(0)
             for b in range(n):
-                _gather(xd[b], taps, cols)
+                gather(b, r0, r, cols, sbuf)
                 np.matmul(kmat, cols.reshape(ntap * cin, r * wo),
                           out=out[b].reshape(cout, ho * wo)[:, r0 * wo:(r0 + r) * wo])
     out += bias.data.reshape(1, cout, 1, 1)
 
     need_x, need_k, need_b = x.requires_grad, kernel.requires_grad, bias.requires_grad
 
-    # keeps the unpadded input and the kernel data only; taps, column
+    # keeps the unpadded input and the kernel data only; strips, column
     # buffers and the permuted kernel are rebuilt here, so the tape does
     # not hold them
     def grad_fn(go):
         gb = go.sum(axis=(0, 2, 3)) if need_b else None
-        gk = gx = None
-        if need_x:
-            gx = np.zeros_like(xd)
+        gk = None
+        gxp = np.zeros(padded, dtype=xd.dtype) if need_x else None
         if depthwise:
-            taps = _taps(kh, kw, stride, padding, h, w, 0, ho, wo)
             if need_k:
                 gk = np.zeros((cout, ntap), dtype=go.dtype)
-                for t, (ys, xs), (dy, dx) in taps:
-                    gk[:, t] = np.einsum("nchw,nchw->c", xd[:, :, ys, xs], go[:, :, dy, dx])
+                for t in range(ntap):
+                    (yi, yo), (xi, xo) = (_clip(t // kw, stride, padding, h, ho),
+                                          _clip(t % kw, stride, padding, w, wo))
+                    gk[:, t] = np.einsum("nchw,nchw->c", xd[:, :, yi, xi], go[:, :, yo, xo])
                 gk = gk.reshape(kd.shape)
             if need_x:
-                for t, (ys, xs), (dy, dx) in taps:
-                    gx[:, :, ys, xs] += go[:, :, dy, dx] * ktap[t]
-            return (gx, gk, gb)
-        kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
-        gkm = np.zeros((cout, ntap * cin), dtype=go.dtype) if need_k else None
-        go3 = go.reshape(n, cout, ho * wo)
-        buf = np.empty(ntap * cin * rows * wo, dtype=go.dtype)
-        for r0, r in blocks:
-            taps = _taps(kh, kw, stride, padding, h, w, r0, r0 + r, wo)
-            cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
-            cmat = cols.reshape(ntap * cin, r * wo)
-            for b in range(n):
-                go_blk = go3[b, :, r0 * wo:(r0 + r) * wo]
-                if need_k:
-                    if padding:  # zero the strips; the input gradient writes over them
-                        cols.fill(0)
-                    _gather(xd[b], taps, cols)
-                    gkm += go_blk @ cmat.T
-                if need_x:
-                    np.matmul(kmat.T, go_blk, out=cmat)
-                    _scatter(cols, taps, gx[b])
-        if need_k:
-            gk = gkm.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
-        return (gx, gk, gb)
+                for t in range(ntap):
+                    view = tap(gxp, t)
+                    view += go * ktap[t]
+        else:
+            kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
+            gkm = np.zeros((cout, ntap * cin), dtype=go.dtype) if need_k else None
+            go3 = go.reshape(n, cout, ho * wo)
+            buf = np.empty(ntap * cin * rows * wo, dtype=go.dtype)
+            sbuf = np.zeros((cin, stride * (rows - 1) + kh, sw), dtype=xd.dtype) if padding else None
+            for r0, r in blocks:
+                cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
+                cmat = cols.reshape(ntap * cin, r * wo)
+                for b in range(n):
+                    go_blk = go3[b, :, r0 * wo:(r0 + r) * wo]
+                    if need_k:
+                        gather(b, r0, r, cols, sbuf)
+                        gkm += go_blk @ cmat.T
+                    if need_x:
+                        np.matmul(kmat.T, go_blk, out=cmat)
+                        for t in range(ntap):
+                            view = tap(gxp[b], t, r, stride * r0)
+                            view += cols[t]
+            if need_k:
+                gk = gkm.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+        if need_x and padding:  # contiguous: sums over a strided view would round differently
+            gxp = np.ascontiguousarray(gxp[:, :, padding:-padding, padding:-padding])
+        return (gxp, gk, gb)
 
     return _emit("conv2d", out, (x, kernel, bias), grad_fn)
 

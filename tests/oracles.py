@@ -62,6 +62,17 @@ def conv2d_loop_grads(x, k, go, stride=1, padding=0, groups=1):
     return gxp[:, :, padding:padding + h, padding:padding + w], gk, gb
 
 
+def _span(off, stride, padding, size, lo, hi):
+    """Outputs lo <= o < hi whose input stride*o + off - padding lies in
+    [0, size), as (input slice, output slice relative to lo), or None."""
+    inside = [o for o in range(lo, hi) if 0 <= stride * o + off - padding < size]
+    if not inside:
+        return None
+    o0, o1 = inside[0], inside[-1]
+    s0 = stride * o0 + off - padding
+    return slice(s0, s0 + stride * (o1 - o0) + 1, stride), slice(o0 - lo, o1 + 1 - lo)
+
+
 def depthwise_clipped_taps(x, k, b, stride=1, padding=0):
     """Depthwise cross-correlation as a sum of per-tap multiply-adds, each
     over only the outputs whose input lies inside the unpadded plane.
@@ -75,22 +86,61 @@ def depthwise_clipped_taps(x, k, b, stride=1, padding=0):
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
 
-    def span(off, size, n_out):  # outputs o with stride*o + off - padding in [0, size)
-        inside = [o for o in range(n_out) if 0 <= stride * o + off - padding < size]
-        if not inside:
-            return None
-        o0, o1 = inside[0], inside[-1]
-        s0 = stride * o0 + off - padding
-        return slice(s0, s0 + stride * (o1 - o0) + 1, stride), slice(o0, o1 + 1)
-
     out = np.zeros((n, c, ho, wo), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            ys, xs = span(i, h, ho), span(j, w, wo)
+            ys, xs = _span(i, stride, padding, h, 0, ho), _span(j, stride, padding, w, 0, wo)
             if ys and xs:
                 out[:, :, ys[1], xs[1]] += x[:, :, ys[0], xs[0]] * k[:, 0, i, j].reshape(1, c, 1, 1)
     out += b.reshape(1, c, 1, 1)
     return out
+
+
+def dense_clipped_taps(x, k, b, go, stride=1, padding=0, rows=None):
+    """Dense cross-correlation and the gradients of sum(out * go), as
+    column-buffer matmuls over blocks of `rows` output rows (default: all),
+    each kernel tap clipped to the unpadded input.
+
+    Like depthwise_clipped_taps it keeps the input dtype and fixes the exact
+    rounding that a dense conv in the same row blocks must reproduce. Per
+    block and sample, a zeroed tap-major [kh*kw*Cin, rows*Wo] buffer gets
+    each tap's in-bounds rectangle of the input and one matmul with the
+    [Cout, kh*kw*Cin] kernel writes the output rows; the bias comes last.
+    In the same order, the kernel gradient adds go_block @ buffer.T, and
+    the input gradient adds each tap's rectangle of kernel.T @ go_block
+    into a zeroed gradient. Returns (out, gx, gk, gb).
+    """
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    rows = rows or ho
+    kmat = k.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    out = np.empty((n, cout, ho, wo), dtype=x.dtype)
+    gx, gkm = np.zeros_like(x), np.zeros_like(kmat)
+    go3 = go.reshape(n, cout, ho * wo)
+    for r0 in range(0, ho, rows):
+        r = min(rows, ho - r0)
+        taps = []
+        for i in range(kh):
+            for j in range(kw):
+                ys, xs = _span(i, stride, padding, h, r0, r0 + r), _span(j, stride, padding, w, 0, wo)
+                if ys and xs:
+                    taps.append((i * kw + j, ys, xs))
+        for bi in range(n):
+            cols = np.zeros((kh * kw, cin, r, wo), dtype=x.dtype)
+            for t, ys, xs in taps:
+                cols[t, :, ys[1], xs[1]] = x[bi][:, ys[0], xs[0]]
+            cmat = cols.reshape(kh * kw * cin, r * wo)
+            out[bi].reshape(cout, ho * wo)[:, r0 * wo:(r0 + r) * wo] = kmat @ cmat
+            go_blk = go3[bi, :, r0 * wo:(r0 + r) * wo]
+            gkm += go_blk @ cmat.T
+            back = (kmat.T @ go_blk).reshape(kh * kw, cin, r, wo)
+            for t, ys, xs in taps:
+                gx[bi][:, ys[0], xs[0]] += back[t, :, ys[1], xs[1]]
+    out += b.reshape(1, cout, 1, 1)
+    gk = gkm.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+    return out, gx, gk, go.sum(axis=(0, 2, 3))
 
 
 def pixel_shuffle_loop(x, r):

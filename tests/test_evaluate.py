@@ -61,7 +61,7 @@ class TestMcInfer:
     def test_batched_equals_sequential(self, rng, monkeypatch):
         net = small_net()
         cube = _cube(rng)
-        # 5184 B: 3 rows of the HR tail conv's column buffer (blocks of 3, ..., 3, 1)
+        # 5184 B: 2 rows of the HR tail conv's column buffer and strip (8 blocks of 2)
         for cols_bytes in (tensor._COLS_BYTES, 5184):
             monkeypatch.setattr(tensor, "_COLS_BYTES", cols_bytes)
             mean_b, samp_b = mc_infer(net, cube, n=5, seed=7)
@@ -216,6 +216,22 @@ class TestUncertainty:
         counts = umap.values * n / 100.0
         np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
         assert umap.values.min() >= 0.0 and umap.values.max() <= 100.0
+
+    def test_peak_memory_is_the_map_plus_band_temporaries(self, rng):
+        # float32 cubes as `hssr uncertainty` passes them; nothing cube-sized
+        # beyond the returned float64 map
+        mean = rng.uniform(size=(16, 64, 64)).astype(np.float32)
+        samples = [HSCube(np.clip(mean + rng.normal(0, 0.01, mean.shape).astype(np.float32),
+                                  0, 1)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            umap = uncertainty(samples, HSCube(mean))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        band = 64 * 64 * np.dtype(np.float64).itemsize
+        assert peak - umap.values.nbytes <= 5 * band
 
     def test_argument_validation(self, rng):
         v = rng.uniform(size=(1, 2, 2))

@@ -14,6 +14,7 @@ from oracles import (
     bicubic_direct,
     conv2d_loop,
     conv2d_loop_grads,
+    dense_clipped_taps,
     depthwise_clipped_taps,
     pixel_shuffle_loop,
 )
@@ -39,6 +40,26 @@ from hssr.tensor import (
     sigmoid,
     sub,
 )
+
+
+def _two_row_budget(x, kk, stride, padding, wo):
+    """Bytes of a two-output-row column buffer plus the strip it is gathered from."""
+    _, cin, _, w = x.shape
+    strip = (stride + kk) * (w + 2 * padding) if padding else 0
+    return (2 * kk * kk * wo + strip) * cin * x.itemsize
+
+
+def _spy_strips(monkeypatch, kk, stride):
+    """Record the output rows of each per-block, per-sample strip the dense conv reads."""
+    rows = []
+    strip = tensor._strip
+
+    def spy(src, top, n_rows, padding, buf):
+        rows.append((n_rows - kk) // stride + 1)
+        return strip(src, top, n_rows, padding, buf)
+
+    monkeypatch.setattr(tensor, "_strip", spy)
+    return rows
 
 
 class TestConv2d:
@@ -95,18 +116,11 @@ class TestConv2d:
         k = rng.uniform(-1, 1, (cout, cin, kk, kk))
         b = rng.uniform(-1, 1, cout)
         wo = (size + 2 * padding - kk) // stride + 1
-        # a budget of two output rows' column buffer
-        monkeypatch.setattr(tensor, "_COLS_BYTES", 2 * kk * kk * cin * wo * x.itemsize)
-        rows = []
-        gather = tensor._gather
-
-        def spy(src, taps, cols):
-            rows.append(cols.shape[-2])
-            return gather(src, taps, cols)
-
-        monkeypatch.setattr(tensor, "_gather", spy)
+        # a budget of two output rows' column buffer and input strip
+        monkeypatch.setattr(tensor, "_COLS_BYTES", _two_row_budget(x, kk, stride, padding, wo))
+        rows = _spy_strips(monkeypatch, kk, stride)
         out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
-        assert sorted(rows) == sorted(blocks * 2)  # per sample, one gather per block
+        assert sorted(rows) == sorted(blocks * 2)  # per sample, one strip per block
         ref = conv2d_loop(x, k, b, stride, padding)
         assert out.shape == ref.shape
         assert np.abs(out.data - ref).max() < 1e-10
@@ -123,16 +137,9 @@ class TestConv2d:
         k = rng.uniform(-1, 1, (cout, cin // groups, kk, kk))
         b = rng.uniform(-1, 1, cout)
         wo = (w + 2 * padding - kk) // stride + 1
-        # a budget of two output rows' column buffer
-        monkeypatch.setattr(tensor, "_COLS_BYTES", 2 * kk * kk * cin * wo * x.itemsize)
-        rows = []
-        gather = tensor._gather
-
-        def spy(src, taps, cols):
-            rows.append(cols.shape[-2])
-            return gather(src, taps, cols)
-
-        monkeypatch.setattr(tensor, "_gather", spy)
+        # a budget of two output rows' column buffer and input strip
+        monkeypatch.setattr(tensor, "_COLS_BYTES", _two_row_budget(x, kk, stride, padding, wo))
+        rows = _spy_strips(monkeypatch, kk, stride)
         g = Graph()
         xt, kt, bt = g.leaf(x), g.leaf(k), g.leaf(b)
         out = conv2d(xt, kt, bt, stride=stride, padding=padding, groups=groups)
@@ -202,6 +209,37 @@ class TestConv2d:
             assert out.data.dtype == ref.dtype
             np.testing.assert_array_equal(out.data, ref)
 
+    @pytest.mark.parametrize("cols_bytes", [None, 20_000])
+    @pytest.mark.parametrize("n,cin,cout,kk,stride,padding,size", [
+        (4, 32, 496, 3, 1, 1, 8),  # train head
+        (4, 31, 31, 3, 1, 1, 32),  # train tail
+        (4, 31, 31, 5, 4, 2, 32),  # train degrade
+        (4, 96, 32, 1, 1, 0, 8),  # train 1x1
+        (1, 32, 496, 3, 1, 1, 32),  # sr head
+        (1, 31, 31, 3, 1, 1, 128),  # sr tail
+        (1, 31, 31, 5, 4, 2, 128),  # sr degrade
+    ])
+    def test_dense_matches_clipped_taps_exactly(self, rng, monkeypatch, cols_bytes, n, cin,
+                                                cout, kk, stride, padding, size):
+        # forward and both gradients: same products, summed in the same
+        # order, in the same row blocks as the clipped-tap column buffer
+        if cols_bytes:
+            monkeypatch.setattr(tensor, "_COLS_BYTES", cols_bytes)
+        rows = _spy_strips(monkeypatch, kk, stride)
+        x = rng.uniform(-1, 1, (n, cin, size, size)).astype(np.float32)
+        k = rng.uniform(-1, 1, (cout, cin, kk, kk)).astype(np.float32)
+        b = rng.uniform(-1, 1, cout).astype(np.float32)
+        g = Graph()
+        out = conv2d(g.leaf(x), g.leaf(k), g.leaf(b), stride=stride, padding=padding)
+        plan = sorted(set(rows))
+        assert cols_bytes is None or len(rows) > n  # several blocks
+        go = rng.uniform(-1, 1, out.shape).astype(np.float32)
+        got = (out.data,) + tuple(g.nodes[out.node_id].grad_fn(go))
+        ref = dense_clipped_taps(x, k, b, go, stride, padding, rows=plan[-1])
+        for a, r in zip(got, ref):
+            assert a.dtype == r.dtype
+            np.testing.assert_array_equal(a, r)
+
     def test_pointwise_equals_channel_matmul(self, rng):
         x = rng.uniform(-1, 1, (2, 4, 3, 3))
         k = rng.uniform(-1, 1, (5, 4, 1, 1))
@@ -212,7 +250,7 @@ class TestConv2d:
 
     def test_batch_row_independence(self, rng, monkeypatch):
         # row i of a batched run must be bit-identical to a lone run of row i,
-        # also when the dense forward runs in row blocks (2000 B: two rows each)
+        # also when the dense forward runs in row blocks (2000 B: one row each)
         for cols_bytes, (cin, cout, kk, stride, padding, groups) in itertools.product(
             (tensor._COLS_BYTES, 2000),
             [
