@@ -202,10 +202,14 @@ def cmd_uncertainty(args) -> int:
         cube = read_cube(f)
         mean, samples = mc_infer(net, cube, args.n_samples, args.seed)
         umap = uncertainty(samples, mean)
+        del mean, samples  # the N-sample stack is not alive while the map is written
+        # HSC1 stores [0,1]; percentages are scaled down by 100
+        frac = np.empty(umap.values.shape, dtype=np.float32)
+        np.divide(umap.values, 100.0, out=frac, casting="unsafe")
+        del umap
         target = out / f.name if in_path.is_dir() else out
-        umap.values /= 100.0  # HSC1 stores [0,1]; percentages are scaled down by 100
-        write_cube(HSCube(umap.values.astype(np.float32), name=f.stem), target)
-        del mean, samples, umap
+        write_cube(HSCube(frac, name=f.stem), target)
+        del frac
     print(f"wrote {len(files)} uncertainty map(s) -> {out}")
     return 0
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hssr import cli
 from hssr.cli import CONFIG_SCHEMA, _parse_value, main, read_run_config
 from hssr.errors import FormatError, ParameterError
 from hssr.hsdata import (
@@ -365,6 +366,32 @@ class TestInferenceCommands:
         assert umap.values.shape == (3, 16, 16)
         counts = umap.values.astype(np.float64) * 4
         np.testing.assert_allclose(counts, np.round(counts), atol=1e-5)
+
+    def test_uncertainty_writes_with_only_the_map_alive(self, run_dir, tmp_path, monkeypatch):
+        # 32x32 LR, N=8: the 8-sample stack, the mean and the float64 map
+        # would add 10 output cubes (3x64x64 float32, 48 KiB each) at the write
+        src = tmp_path / "a.hsc"
+        write_cube(random_smooth_cube(3, 32, 32, np.random.default_rng(4), name="a"), src)
+        held = {}
+
+        def spy(fn, key):
+            def call(*args):
+                held[key] = tracemalloc.get_traced_memory()[0]
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(cli, "mc_infer", spy(cli.mc_infer, "infer"))
+        monkeypatch.setattr(cli, "write_cube", spy(cli.write_cube, "write"))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main([
+                "uncertainty", "--checkpoint", str(run_dir / "checkpoint.pdec"),
+                "--input", str(src), "--n-samples", "8", "--out", str(tmp_path / "u.hsc"),
+            ]) == 0
+        finally:
+            tracemalloc.stop()
+        assert held["write"] - held["infer"] <= 2 * 3 * 64 * 64 * 4, held
 
     def test_uncertainty_needs_two_samples(self, run_dir, data_dir, tmp_path):
         rc = main([
