@@ -32,6 +32,7 @@ __all__ = [
     "read_manifest",
     "write_manifest",
     "atomic_write",
+    "f32le",
     "read_text",
     "lr_counterpart",
     "extract_patches",
@@ -86,7 +87,7 @@ class DatasetManifest:
 
 
 def atomic_write(path, chunks) -> None:
-    """Write the byte strings `chunks` to `path` all or nothing.
+    """Write the bytes-like `chunks` (bytes or contiguous arrays) to `path` all or nothing.
 
     They go to a new temp file next to `path` (a random name opened with
     O_EXCL, mode 0o666 less the umask), which then replaces `path`; if the
@@ -103,6 +104,13 @@ def atomic_write(path, chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def f32le(arr) -> np.ndarray:
+    """`arr` as the C-contiguous little-endian float32 payload both binary
+    containers hand to atomic_write; no copy if it is one already."""
+    with np.errstate(over="ignore"):
+        return np.ascontiguousarray(arr, dtype="<f4")
 
 
 def read_text(path) -> str:
@@ -123,9 +131,11 @@ def write_cube(cube: HSCube, path) -> None:
     b, h, w = vals.shape
     if min(b, h, w) < 1:
         raise DimensionError(f"cube extents must be positive, got {vals.shape}")
-    if not np.isfinite(vals).all():
-        raise ParameterError("cube contains non-finite values; refusing to write")
-    atomic_write(path, (_MAGIC, struct.pack("<III", b, h, w), vals.astype("<f4").tobytes()))
+    payload = f32le(vals)
+    # min and max are nan or inf if any value is, and need no temporary
+    if not (np.isfinite(payload.min()) and np.isfinite(payload.max())):
+        raise ParameterError("cube has values not finite in float32; refusing to write")
+    atomic_write(path, (_MAGIC, struct.pack("<III", b, h, w), payload))
 
 
 def read_cube(path) -> HSCube:

@@ -90,10 +90,11 @@ def check_field_types(cfg) -> None:
             raise ParameterError(f"{name} must be {typ.__name__}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetConfig:
     """The architecture. `bands` comes from the data and `scale` by default
-    from the dataset manifest; each checkpoint stores every field."""
+    from the dataset manifest; each checkpoint stores every field. Frozen,
+    since `assemble` copies tau into every gate."""
 
     bands: int
     scale: int = 4
@@ -120,7 +121,7 @@ class NetConfig:
             tau = float(np.float32(self.tau))
         if not 0 < tau < np.inf:  # also false for nan
             raise ParameterError(f"tau must be finite and > 0 in float32, got {self.tau}")
-        self.tau = tau
+        object.__setattr__(self, "tau", tau)
 
     @property
     def degrade_kernel(self) -> int:
@@ -238,10 +239,11 @@ def assemble(cfg: NetConfig, param) -> SRNet:
     return SRNet(cfg, stages, deg, _params=made)
 
 
-def build_net(cfg: NetConfig, rng: np.random.Generator, dtype=np.float32) -> SRNet:
-    """Fresh network: uniform(-1/sqrt(fan_in)) conv weights, zero biases,
-    box-filter degradation kernel, every gate logit at sigmoid^-1(0.9)."""
-    return assemble(cfg, lambda name, shape, init: Param(name, init(rng, shape).astype(dtype)))
+def build_net(cfg: NetConfig, rng: np.random.Generator) -> SRNet:
+    """Fresh float32 network: uniform(-1/sqrt(fan_in)) conv weights, zero
+    biases, box-filter degradation kernel, every gate logit at logit(0.9)."""
+    return assemble(cfg, lambda name, shape, init:
+                    Param(name, init(rng, shape).astype(np.float32)))
 
 
 def parameters(net: SRNet) -> list:
@@ -490,10 +492,9 @@ def mean_estimate(net: SRNet, x, rngs) -> Tensor:
                 xhat = xhat + _chain_apply(*chains[t], f)
     if not count:
         raise ParameterError("need at least one generator")
-    y = base
     for stage, s in zip(net.stages, fsum):
-        y = add(stage_upsample(stage, Tensor((s / count).astype(x.dtype)), a), y)
-    return y
+        base.data += stage_upsample(stage, Tensor((s / count).astype(x.dtype)), a).data
+    return base
 
 
 def loss(y_hat: Tensor, y: Tensor, x_hat: Tensor, x: Tensor, lam: float = 1.0) -> Tensor:

@@ -25,7 +25,15 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError, TrainingError
-from .hsdata import DatasetManifest, HSCube, atomic_write, augment, lr_counterpart, read_cube
+from .hsdata import (
+    DatasetManifest,
+    HSCube,
+    atomic_write,
+    augment,
+    f32le,
+    lr_counterpart,
+    read_cube,
+)
 from .model import (
     NetConfig,
     SRNet,
@@ -213,6 +221,12 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir, b
         raise ParameterError(
             f"manifest was prepared for scale {man.scale}, config says {net_cfg.scale}"
         )
+    _, h, w = pairs[0][1].shape
+    if cfg.augment and min(cfg.batch, len(pairs)) > 1 and h != w:
+        raise DimensionError(
+            f"augmentation rotates the {h}x{w} training patches, so a batch would mix "
+            f"{h}x{w} and {w}x{h}; use square patches, batch=1 or augment=false"
+        )
 
     root = np.random.SeedSequence(cfg.seed)
     init_ss, order_ss, gate_ss = root.spawn(3)
@@ -289,12 +303,9 @@ def save_checkpoint(net: SRNet, path) -> None:
     blob = [_CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(entries))]
     for name, arr in entries:
         nb = name.encode("utf-8")
-        arr = np.asarray(arr)
-        blob.append(struct.pack("<I", len(nb)))
-        blob.append(nb)
-        blob.append(struct.pack("<I", arr.ndim))
-        blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        blob.append(arr.astype("<f4").tobytes())
+        # rank and dims from arr itself: f32le gives a 0-d config scalar shape (1,)
+        blob += [struct.pack("<I", len(nb)), nb,
+                 struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), f32le(arr)]
     atomic_write(path, blob)
 
 

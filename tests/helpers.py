@@ -1,10 +1,14 @@
-"""Gradient-check machinery shared by the op and network tests."""
+"""Gradient-check machinery and test-only constructors shared by the op,
+gate and network tests."""
 
 import numpy as np
 
-from hssr.model import NetConfig, build_net, forward, loss, parameters
+from hssr.errors import ParameterError
+from hssr.gating import GateParams
+from hssr.model import NetConfig, assemble, build_net, forward, loss, parameters
 from hssr.tensor import (
     Graph,
+    Param,
     Tensor,
     absolute,
     add,
@@ -226,3 +230,21 @@ def affine_net(scale: int, stages: int = 2, seed: int = 0):
     k = net.degrade_layer.kernel.data
     net.degrade_layer.kernel.data = rng.uniform(0, 2, k.shape).astype(np.float32) / k[0].size
     return net
+
+
+def float64_net(cfg: NetConfig, rng: np.random.Generator):
+    """`build_net`'s network, from the same draws, kept in float64."""
+    return assemble(cfg, lambda name, shape, init:
+                    Param(name, init(rng, shape).astype(np.float64)))
+
+
+def init_gate(name: str, channels: int, keep_prob: float, tau: float) -> GateParams:
+    """Float32 gate whose channels all start at the given keep probability."""
+    if channels < 1:
+        raise ParameterError(f"gate needs at least one channel, got {channels}")
+    if not 0.0 < keep_prob < 1.0:
+        raise ParameterError(f"keep probability must be in (0,1), got {keep_prob}")
+    if tau <= 0:
+        raise ParameterError(f"temperature must be positive, got {tau}")
+    logit = float(np.log(keep_prob / (1.0 - keep_prob)))
+    return GateParams(Param(name, np.full(channels, logit, dtype=np.float32)), tau=tau)

@@ -25,7 +25,7 @@ import pytest
 
 from hssr.cli import main
 from hssr.evaluate import mc_infer, mpsnr, mssim, sam, uncertainty
-from hssr.gating import init_gate, sample_hard, sample_soft
+from hssr.gating import sample_hard, sample_soft
 from hssr.hsdata import (
     DatasetManifest,
     HSCube,
@@ -39,7 +39,7 @@ from hssr.model import NetConfig, build_net, forward, parameters, unit_forward
 from hssr.tensor import Tensor, bicubic_resize_array
 from hssr.train import TrainConfig, train
 
-from helpers import directional_fd_check, gradcheck_all_ops
+from helpers import directional_fd_check, float64_net, gradcheck_all_ops, init_gate
 from oracles import mpsnr_loop, mssim_loop, sam_loop, uncertainty_loop
 from reference_net import extract_params, reference_forward
 
@@ -189,7 +189,7 @@ def test_criterion_01_gradient_integrity(acceptance_log):
         n_ops = 2 * len(op_worst)
 
         cfg = NetConfig(bands=3, scale=2, stages=2, units_per_stage=2, channels=8)
-        net = build_net(cfg, np.random.default_rng(5), dtype=np.float64)
+        net = float64_net(cfg, np.random.default_rng(5))
         # the two modes the optimizer actually differentiates through;
         # in the inference modes the mask is a constant by design, so finite
         # differences over the gate logits would measure a non-existent path
@@ -235,7 +235,7 @@ def test_criterion_02_sampler_fidelity(acceptance_log):
 def test_criterion_03_template_equivalence(acceptance_log):
     with criterion(acceptance_log, 3, "warm-up forward equals gate-free reference") as info:
         cfg = NetConfig(bands=3, scale=2, stages=2, units_per_stage=2, channels=8)
-        net = build_net(cfg, np.random.default_rng(3), dtype=np.float64)
+        net = float64_net(cfg, np.random.default_rng(3))
         x = np.random.default_rng(17).uniform(0.0, 1.0, (2, 3, 8, 8))
         y_hat, x_hat = forward(net, Tensor(x), "warmup")
         ref_y, ref_x = reference_forward(

@@ -17,6 +17,7 @@ from hssr.cli import CONFIG_SCHEMA, _parse_value, main, read_run_config
 from hssr.errors import FormatError, ParameterError
 from hssr.hsdata import (
     DatasetManifest,
+    HSCube,
     make_lr,
     random_smooth_cube,
     read_cube,
@@ -256,6 +257,30 @@ class TestTrainCommand:
         ])
         assert rc == 2
         assert not (tmp_path / "r").exists()
+
+    def test_non_square_patches_need_augment_off(self, tmp_path, capsys):
+        # a 90-degree rotation transposes a 8x16 patch, so an augmented batch
+        # of several patches cannot be stacked
+        rng = np.random.default_rng(0)
+        man = DatasetManifest(scale=2, patch=8, stride=8)
+        for d in ("hr", "lr"):
+            (tmp_path / d / "train").mkdir(parents=True)
+        for i in range(4):
+            hr = HSCube(rng.uniform(size=(3, 8, 16)).astype(np.float32), name=f"p{i}")
+            write_cube(hr, tmp_path / "hr" / "train" / f"p{i}.hsc")
+            write_cube(make_lr(hr, 2), tmp_path / "lr" / "train" / f"p{i}.hsc")
+            man.entries.append((f"hr/train/p{i}.hsc", "train"))
+        write_manifest(man, tmp_path / "manifest.txt")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("manifest=manifest.txt\nstages=1\nunits_per_stage=1\nchannels=4\n"
+                       "warmup_epochs=1\nmain_epochs=1\nbatch=4\n")
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        assert rc == 2
+        assert "augment=false" in capsys.readouterr().err
+        rc = main(["train", "--config", str(cfg), "--set", "augment=false",
+                   "--out", str(tmp_path / "b")])
+        assert rc == 0
+        assert (tmp_path / "b" / "checkpoint.pdec").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

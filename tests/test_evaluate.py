@@ -161,6 +161,25 @@ class TestMcMean:
         out_cube = 4 * 3 * 64 * 64
         assert peaks[8] - peaks[1] < out_cube, peaks
 
+    def test_later_stages_add_no_hr_cube_to_the_peak(self, rng):
+        # each stage's correction is added into the output cube in place, so
+        # a second stage costs LR-sized state only, not another HR cube
+        cube = _cube(rng, b=8, h=32, w=32)
+        hr_cube = 4 * 8 * 128 * 128
+        peaks = {}
+        for stages in (1, 2):
+            net = build_net(NetConfig(bands=8, scale=4, stages=stages, units_per_stage=1,
+                                      channels=4), np.random.default_rng(0))
+            mc_mean(net, cube, n=2, seed=0)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                mc_mean(net, cube, n=2, seed=0)
+                peaks[stages] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < hr_cube / 2, (peaks, hr_cube)
+
     def test_argument_validation(self, rng):
         net = small_net()
         with pytest.raises(ParameterError):

@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import numeric_grad, rel_err
+from helpers import init_gate, numeric_grad, rel_err
 
 from hssr.errors import ParameterError
-from hssr.gating import (
-    GateParams,
-    expectation,
-    init_gate,
-    mask_for,
-    sample_hard,
-    sample_soft,
-    warmup_mask,
-)
+from hssr.gating import GateParams, mask_for, sample_hard, sample_soft
 from hssr.tensor import Graph, Param, Tensor, backward, mean_all, mul
 
 
@@ -87,11 +79,9 @@ class TestSampleSoft:
             worst = max(worst, rel_err(ana, numeric_grad(f, theta)))
         assert worst < 1e-3
 
-    def test_tau_must_be_positive(self, rng):
-        gate = _gate(np.zeros(2), tau=0.5)
-        gate.tau = 0.0
-        with pytest.raises(ParameterError):
-            sample_soft(gate, rng)
+    def test_tau_must_be_positive(self):
+        # a net's gates take tau from NetConfig, which rejects a bad one
+        # (tests/test_train.py); this is the test-only gate constructor
         with pytest.raises(ParameterError):
             init_gate("g", 4, 0.9, tau=-1.0)
 
@@ -120,18 +110,17 @@ class TestSampleHard:
 
 class TestExpectationAndWarmup:
     def test_logit_zero_is_half(self):
-        np.testing.assert_allclose(expectation(_gate(np.zeros(3))).data, 0.5)
+        np.testing.assert_allclose(mask_for(_gate(np.zeros(3)), "expect").data, 0.5)
 
     def test_large_logit_saturates(self):
-        assert abs(float(expectation(_gate(np.full(1, 30.0))).data[0]) - 1.0) < 1e-9
+        assert abs(float(mask_for(_gate(np.full(1, 30.0)), "expect").data[0]) - 1.0) < 1e-9
 
     def test_reference_values(self):
-        out = expectation(_gate(np.array([-1.0, 0.0, 2.0]))).data
+        out = mask_for(_gate(np.array([-1.0, 0.0, 2.0])), "expect").data
         np.testing.assert_allclose(out, [0.26894, 0.5, 0.88079], atol=1e-4)
 
     def test_warmup_is_ones_regardless_of_logits(self, rng):
         gate = _gate(rng.uniform(-9, 9, 16))
-        np.testing.assert_array_equal(warmup_mask(gate).data, np.ones(16))
         np.testing.assert_array_equal(mask_for(gate, "warmup").data, np.ones(16))
 
     def test_warmup_consumes_no_randomness(self, rng):
@@ -145,7 +134,7 @@ class TestExpectationAndWarmup:
 class TestDispatchAndInit:
     def test_init_gate_probability(self):
         gate = init_gate("g", 8, keep_prob=0.9, tau=0.5)
-        np.testing.assert_allclose(expectation(gate).data, 0.9, atol=1e-6)
+        np.testing.assert_allclose(mask_for(gate, "expect").data, 0.9, atol=1e-6)
         assert gate.logits.data.shape == (8,)
         assert abs(float(gate.logits.data[0]) - 2.197) < 1e-3
 

@@ -1,7 +1,9 @@
 """Cube container round-trips, patching, augmentation, LR synthesis."""
 
+import gc
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +101,35 @@ class TestCubeFormat:
     def test_writer_rejects_non_finite(self, tmp_path):
         with pytest.raises(ParameterError):
             write_cube(HSCube(np.full((1, 2, 2), np.inf, np.float32)), tmp_path / "w.hsc")
+
+    def test_writer_checks_finiteness_in_float32(self, tmp_path):
+        vals = np.zeros((2, 3, 3))
+        vals[1, 2, 2] = 1e39  # finite in float64, +inf once cast to float32
+        with pytest.raises(ParameterError, match="float32"):
+            write_cube(HSCube(vals), tmp_path / "w.hsc")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_payload_is_little_endian_float32_of_any_input(self, tmp_path, rng):
+        vals = rng.random((3, 5, 7))
+        want = b"HSC1" + struct.pack("<III", 3, 5, 7) + vals.astype("<f4").tobytes()
+        f32 = vals.astype(np.float32)
+        for arr in (vals, f32, vals.astype(">f4"), np.asfortranarray(f32), f32.tolist()):
+            write_cube(HSCube(arr), tmp_path / "c.hsc")
+            assert (tmp_path / "c.hsc").read_bytes() == want
+
+    def test_writer_temporaries_stay_band_sized(self, tmp_path, rng):
+        # a float32 cube is written as it is: no payload copy, no whole-cube
+        # finiteness map
+        vals = rng.random((31, 128, 128), dtype=np.float32)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_cube(HSCube(vals), tmp_path / "c.hsc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= vals[0].nbytes, peak
+        assert read_cube(tmp_path / "c.hsc").values.tobytes() == vals.tobytes()
 
     @given(st.integers(1, 5), st.integers(1, 12), st.integers(1, 12))
     def test_round_trip_property(self, b, h, w):

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import affine_net, net_loss_and_grad
+from helpers import affine_net, float64_net, net_loss_and_grad
 from oracles import affine_chain_impulses, conv2d_loop
 from reference_net import extract_params, reference_forward
 
@@ -27,9 +27,9 @@ from hssr.model import (
 from hssr.tensor import Graph, Tensor, backward, bicubic_resize_array
 
 
-def small_net(bands=3, scale=2, stages=2, units=2, channels=8, seed=0, dtype=np.float32):
+def small_net(bands=3, scale=2, stages=2, units=2, channels=8, seed=0, make=build_net):
     cfg = NetConfig(bands, scale, stages, units, channels)
-    return build_net(cfg, np.random.default_rng(seed), dtype=dtype)
+    return make(cfg, np.random.default_rng(seed))
 
 
 def _zero_convs(net):
@@ -106,8 +106,10 @@ class TestConfigAndBuild:
         assert any(not np.array_equal(a[n], c[n]) for n in a)
 
     def test_all_params_respect_dtype(self):
-        net = small_net(dtype=np.float32)
-        assert all(p.data.dtype == np.float32 for p in parameters(net))
+        # build_net makes float32 nets; the float64 ones exist for tests only
+        assert all(p.data.dtype == np.float32 for p in parameters(small_net()))
+        net = small_net(make=float64_net)
+        assert all(p.data.dtype == np.float64 for p in parameters(net))
 
 
 class TestEmbedUnit:
@@ -301,7 +303,7 @@ class TestForward:
 
     def test_matches_reference_network(self, rng):
         # same parameters, independently coded forward pass, float64
-        net = small_net(seed=3, dtype=np.float64)
+        net = small_net(seed=3, make=float64_net)
         x = rng.uniform(0, 1, (2, 3, 8, 8))
         y_hat, x_hat = forward(net, x, "warmup")
         ref_y, ref_x = reference_forward(

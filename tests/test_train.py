@@ -6,6 +6,7 @@ import re
 import struct
 import tracemalloc
 import weakref
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -136,8 +137,8 @@ class TestSchedule:
 
 
 class TestCheckpoint:
-    def _net(self, seed=0):
-        cfg = NetConfig(bands=3, scale=2, stages=2, units_per_stage=1, channels=4)
+    def _net(self, seed=0, **cfg_kw):
+        cfg = NetConfig(bands=3, scale=2, stages=2, units_per_stage=1, channels=4, **cfg_kw)
         return build_net(cfg, np.random.default_rng(seed))
 
     def test_round_trip_bit_exact(self, tmp_path, rng):
@@ -158,6 +159,41 @@ class TestCheckpoint:
             ya, _ = forward(net, x, mode, rng=r1)
             yb, _ = forward(loaded, x, mode, rng=r2)
             np.testing.assert_array_equal(ya.data, yb.data)
+
+    def test_round_trip_keeps_the_gate_temperature(self, tmp_path, rng):
+        # the relaxed train-mode masks depend on tau, which only NetConfig
+        # carries into the file and which no built net can change
+        net = self._net(seed=2, tau=0.3)
+        for f in fields(NetConfig):
+            with pytest.raises(FrozenInstanceError):
+                setattr(net.cfg, f.name, getattr(net.cfg, f.name))
+        with pytest.raises(FrozenInstanceError):
+            net.stages[0].units[0].gate_l.tau = 0.25
+        save_checkpoint(net, tmp_path / "ck.pdec")
+        loaded = load_checkpoint(tmp_path / "ck.pdec")
+        assert loaded.cfg == net.cfg
+        taus = {blk.gate_k.tau for n in (net, loaded) for st in n.stages for blk in st.aggs}
+        taus |= {u.gate_l.tau for n in (net, loaded) for st in n.stages for u in st.units}
+        assert taus == {net.cfg.tau}
+        x = rng.uniform(size=(2, 3, 6, 6)).astype(np.float32)
+        ya, xa = forward(net, x, "train", rng=np.random.default_rng(4))
+        yb, xb = forward(loaded, x, "train", rng=np.random.default_rng(4))
+        np.testing.assert_array_equal(ya.data, yb.data)
+        np.testing.assert_array_equal(xa.data, xb.data)
+
+    def test_bytes_follow_the_container_layout(self, tmp_path):
+        # rank and dims come from each entry itself, so a config scalar is rank 0
+        net = self._net(seed=6)
+        save_checkpoint(net, tmp_path / "ck.pdec")
+        entries = [(f"config.{f.name}", np.float32(getattr(net.cfg, f.name)))
+                   for f in fields(NetConfig)]
+        entries += [(p.name, p.data) for p in parameters(net)]
+        want = b"PDEC" + struct.pack("<II", 1, len(entries))
+        for name, arr in entries:
+            arr = np.asarray(arr)
+            want += struct.pack(f"<I{len(name)}sI{arr.ndim}I", len(name), name.encode(),
+                                arr.ndim, *arr.shape) + arr.astype("<f4").tobytes()
+        assert (tmp_path / "ck.pdec").read_bytes() == want
 
     def test_serialization_is_canonical(self, tmp_path):
         net = self._net(seed=5)
@@ -285,8 +321,7 @@ class TestCheckpoint:
         assert peak < 1 << 20, peak
 
     def test_config_entries_follow_net_config_fields(self, tmp_path):
-        net = self._net()
-        net.cfg.tau = 0.25
+        net = self._net(tau=0.25)
         path = tmp_path / "ck.pdec"
         save_checkpoint(net, path)
         blob = path.read_bytes()
