@@ -47,7 +47,6 @@ def _hparams(cls) -> dict:
 _REQ = object()
 CONFIG_SCHEMA = {
     "manifest": (str, _REQ, "dataset manifest path, relative to the config file"),
-    "scale": (int, None, "upscaling factor; default: taken from the manifest"),
     **{
         key: (get_type_hints(cls)[f.name], f.default, f.metadata["help"])
         for cls in (NetConfig, TrainConfig)
@@ -149,12 +148,11 @@ def cmd_train(args) -> int:
     values = read_run_config(cfg_path, args.set or ())
     man_path = (cfg_path.parent / values["manifest"]).resolve()
     man = read_manifest(man_path)
-    scale = values["scale"] if values["scale"] is not None else man.scale
     train_rel = man.paths("train")
     if not train_rel:
         raise ParameterError(f"{man_path}: manifest has no train entries")
     bands = read_cube(man_path.parent / train_rel[0]).bands
-    net_cfg = NetConfig(bands=bands, scale=scale,
+    net_cfg = NetConfig(bands=bands, scale=man.scale,
                         **{f.name: values[k] for k, f in _hparams(NetConfig).items()})
     tcfg = TrainConfig(**{f.name: values[k] for k, f in _hparams(TrainConfig).items()})
     train(man, net_cfg, tcfg, args.out, base_dir=man_path.parent, log_cb=print)
@@ -186,8 +184,8 @@ def cmd_sr(args) -> int:
         if args.save_samples:
             _, samples = mc_infer(net, cube, args.n_samples, args.seed)
             for i, s in enumerate(samples):
-                clipped = HSCube(np.clip(s.values, 0.0, 1.0), name=s.name)
-                write_cube(clipped, Path(args.save_samples) / f"{f.stem}_s{i}.hsc")
+                np.clip(s.values, 0.0, 1.0, out=s.values)
+                write_cube(s, Path(args.save_samples) / f"{f.stem}_s{i}.hsc")
             # drop this cube's N-sample stack before the next mc_infer allocates its own
             del samples
     print(f"super-resolved {len(files)} cube(s) -> {out}")
@@ -294,13 +292,18 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--out", required=True, help="output directory for checkpoint and log")
     st.set_defaults(func=cmd_train)
 
-    ss = sub.add_parser("sr", help="super-resolve LR cubes with MC gate sampling")
-    ss.add_argument("--checkpoint", required=True)
-    ss.add_argument("--input", required=True, help="LR cube file or directory of .hsc files")
-    ss.add_argument("--n-samples", type=int, default=10,
-                    help="Monte-Carlo forward passes (default: 10)")
-    ss.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
-    ss.add_argument("--out", required=True, help="output cube file or directory")
+    def mc_parser(name, summary, n_note="", out_note=""):
+        """A subcommand that draws Monte-Carlo samples from a checkpoint."""
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--checkpoint", required=True)
+        sp.add_argument("--input", required=True, help="LR cube file or directory of .hsc files")
+        sp.add_argument("--n-samples", type=int, default=10,
+                        help=f"Monte-Carlo forward passes{n_note} (default: 10)")
+        sp.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
+        sp.add_argument("--out", required=True, help=f"output cube file or directory{out_note}")
+        return sp
+
+    ss = mc_parser("sr", "super-resolve LR cubes with MC gate sampling")
     ss.add_argument("--save-samples", default=None,
                     help="also write the individual samples into this directory")
     ss.set_defaults(func=cmd_sr)
@@ -313,14 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also score plain bicubic upsampling of these LR cubes")
     se.set_defaults(func=cmd_eval)
 
-    su = sub.add_parser("uncertainty", help="export per-pixel epistemic uncertainty maps")
-    su.add_argument("--checkpoint", required=True)
-    su.add_argument("--input", required=True, help="LR cube file or directory")
-    su.add_argument("--n-samples", type=int, default=10,
-                    help="Monte-Carlo forward passes, >= 2 (default: 10)")
-    su.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
-    su.add_argument("--out", required=True,
-                    help="output cube file or directory (values are percent/100)")
+    su = mc_parser("uncertainty", "export per-pixel epistemic uncertainty maps",
+                   n_note=", >= 2", out_note=" (values are percent/100)")
     su.set_defaults(func=cmd_uncertainty)
     return p
 

@@ -92,9 +92,9 @@ def check_field_types(cfg) -> None:
 
 @dataclass(frozen=True)
 class NetConfig:
-    """The architecture. `bands` comes from the data and `scale` by default
-    from the dataset manifest; each checkpoint stores every field. Frozen,
-    since `assemble` copies tau into every gate."""
+    """The architecture. `bands` comes from the data and `hssr train` takes
+    `scale` from the dataset manifest; each checkpoint stores every field.
+    Frozen, since `assemble` copies tau into every gate."""
 
     bands: int
     scale: int = 4

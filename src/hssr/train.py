@@ -63,13 +63,15 @@ _CKPT_MAGIC = b"PDEC"
 _CKPT_VERSION = 1
 _CKPT_MAX_RANK = 4  # conv kernels; config entries are scalars
 
+# Adam's moment decay rates and epsilon, at Kingma & Ba's defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-@dataclass
+
+@dataclass(frozen=True)
 class TrainConfig:
     lr0: float = hparam(5e-4, "initial Adam learning rate")
-    beta1: float = hparam(0.9, "Adam first-moment decay")
-    beta2: float = hparam(0.999, "Adam second-moment decay")
-    eps: float = hparam(1e-8, "Adam epsilon")
     halve_every: int = hparam(25, "halve the learning rate every N main epochs")
     warmup_epochs: int = hparam(50, "gate-open warm-up epochs")
     main_epochs: int = hparam(100, "joint training epochs")
@@ -84,10 +86,6 @@ class TrainConfig:
         # the chained comparisons below are false for nan as well
         if not 0 < self.lr0 < np.inf:
             raise ParameterError(f"lr0 must be finite and > 0, got {self.lr0}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ParameterError(f"betas must lie in [0,1), got {self.beta1}, {self.beta2}")
-        if not 0 < self.eps < np.inf:
-            raise ParameterError(f"eps must be finite and > 0, got {self.eps}")
         if not 0 <= self.lam < np.inf:
             raise ParameterError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.warmup_epochs < 0 or self.main_epochs < 0:
@@ -106,16 +104,13 @@ class TrainConfig:
 class OptimizerState:
     m: list  # first moments, one array per parameter
     v: list  # second moments
-    cfg: TrainConfig  # supplies beta1, beta2 and eps
     step: int = 0
 
 
-def init_adam(params: list, cfg: TrainConfig = None) -> OptimizerState:
-    """Zero moments for `params`; Adam's betas and eps come from `cfg`, by
-    default `TrainConfig`'s."""
+def init_adam(params: list) -> OptimizerState:
+    """Zero moments for `params`."""
     return OptimizerState(m=[np.zeros_like(p.data) for p in params],
-                          v=[np.zeros_like(p.data) for p in params],
-                          cfg=TrainConfig() if cfg is None else cfg)
+                          v=[np.zeros_like(p.data) for p in params])
 
 
 def adam_step(state: OptimizerState, params: list, grads: list, lr: float) -> None:
@@ -128,7 +123,7 @@ def adam_step(state: OptimizerState, params: list, grads: list, lr: float) -> No
     if len(grads) != len(params):
         raise ParameterError(f"{len(grads)} gradients for {len(params)} parameters")
     state.step += 1
-    b1, b2 = state.cfg.beta1, state.cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -149,7 +144,7 @@ def adam_step(state: OptimizerState, params: list, grads: list, lr: float) -> No
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + state.cfg.eps)
+        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -232,7 +227,7 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir, b
     init_ss, order_ss, gate_ss = root.spawn(3)
     net = build_net(net_cfg, np.random.default_rng(init_ss))
     params = parameters(net)
-    state = init_adam(params, cfg)
+    state = init_adam(params)
     order_rng = np.random.default_rng(order_ss)
     gate_rng = np.random.default_rng(gate_ss)
 
@@ -267,10 +262,7 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir, b
                         "last checkpoint on disk retained"
                     )
                 node_grads = backward(step_loss)
-                grads = []
-                for p in params:
-                    nid = graph.leaf_id(p)
-                    grads.append(None if nid is None else node_grads.get(nid))
+                grads = [node_grads.get(graph.leaf_id(p)) for p in params]
                 adam_step(state, params, grads, lr)
                 epoch_losses.append(lval)
                 # free this step's tape now, not when the next forward returns

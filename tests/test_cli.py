@@ -15,6 +15,7 @@ import pytest
 from hssr import cli
 from hssr.cli import CONFIG_SCHEMA, _parse_value, main, read_run_config
 from hssr.errors import FormatError, ParameterError
+from hssr.evaluate import mc_infer
 from hssr.hsdata import (
     DatasetManifest,
     HSCube,
@@ -25,6 +26,8 @@ from hssr.hsdata import (
     write_cube,
     write_manifest,
 )
+from hssr.model import parameters
+from hssr.train import load_checkpoint, save_checkpoint
 
 
 def _make_raw(root, names_roles, hw=32, seed=0):
@@ -146,7 +149,6 @@ class TestRunConfig:
         assert values["augment"] is False
         assert values["seed"] == 7
         assert values["stages"] == 4 and values["tau"] == 2.0 / 3.0
-        assert values["scale"] is None
 
     def test_set_overrides_file(self, tmp_path):
         cfg = tmp_path / "r.cfg"
@@ -205,8 +207,6 @@ class TestRunConfig:
             typ, default, _help = CONFIG_SCHEMA[key]
             if key == "manifest":
                 assert cell == "required"
-            elif key == "scale":
-                assert cell == "from manifest" and default is None
             elif typ is float:  # written as a decimal or a fraction such as 2/3
                 assert float(Fraction(cell)) == default, key
             else:
@@ -248,13 +248,28 @@ class TestTrainCommand:
         assert rc == 2
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("setting", ["lr0=nan", "lr0=inf", "eps=nan", "lambda=-1",
+    @pytest.mark.parametrize("setting", ["lr0=nan", "lr0=inf", "lambda=-1",
                                          "lambda=nan", "tau=nan", "tau=0"])
     def test_bad_float_hyperparameter_exit_code(self, run_dir, data_dir, tmp_path, setting):
         rc = main([
             "train", "--config", str(data_dir / "run.cfg"), "--set", setting,
             "--out", str(tmp_path / "r"),
         ])
+        assert rc == 2
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("line, extra", [
+        # the manifest's own scale: the key is gone, not just checked
+        pytest.param("scale=2", [], id="scale"),
+        pytest.param("", ["--set", "beta1=0.5"], id="beta1"),
+        pytest.param("", ["--set", "eps=1e-7"], id="eps"),
+    ])
+    def test_removed_keys_exit_code(self, run_dir, data_dir, tmp_path, line, extra):
+        # the scale comes from the manifest and Adam's constants are fixed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((data_dir / "run.cfg").read_text().replace(
+            "manifest=manifest.txt", f"manifest={data_dir / 'manifest.txt'}\n{line}"))
+        rc = main(["train", "--config", str(cfg), *extra, "--out", str(tmp_path / "r")])
         assert rc == 2
         assert not (tmp_path / "r").exists()
 
@@ -336,6 +351,25 @@ class TestInferenceCommands:
             outs.append((tmp_path / sub).read_bytes())
         assert outs[0] == outs[1]
         assert len(list((tmp_path / "s").glob("*.hsc"))) == 3
+
+    def test_sr_saved_samples_are_clipped_mc_infer_samples(self, run_dir, data_dir, tmp_path):
+        src = next(iter(sorted((data_dir / "lr" / "test").glob("*.hsc"))))
+        # shift two bands of the output bias, so the samples leave [0, 1] and need clipping
+        net = load_checkpoint(run_dir / "checkpoint.pdec")
+        bias = next(p for p in parameters(net) if p.name == "stage1.tail.bias")
+        bias.data += np.array([2.0, -2.0, 0.0], dtype=np.float32)
+        ckpt = tmp_path / "shifted.pdec"
+        save_checkpoint(net, ckpt)
+        rc = main(["sr", "--checkpoint", str(ckpt), "--input", str(src), "--n-samples", "3",
+                   "--seed", "5", "--out", str(tmp_path / "m.hsc"),
+                   "--save-samples", str(tmp_path / "s")])
+        assert rc == 0
+        _, samples = mc_infer(load_checkpoint(ckpt), read_cube(src), 3, 5)
+        assert all(s.values.max() > 1.0 and s.values.min() < 0.0 for s in samples)
+        for i, s in enumerate(samples):
+            saved = read_cube(tmp_path / "s" / f"{src.stem}_s{i}.hsc")
+            assert np.array_equal(saved.values, np.clip(s.values, 0.0, 1.0)), i
+            assert saved.clamped == 0  # the file holds clipped values; the loader clipped none
 
     def test_sr_is_seed_deterministic(self, run_dir, data_dir, tmp_path):
         src = next(iter(sorted((data_dir / "lr" / "test").glob("*.hsc"))))
