@@ -25,12 +25,13 @@ from .hsdata import (
     extract_patches,
     make_lr,
     read_cube,
+    read_cube_header,
     read_manifest,
     read_text,
     write_cube,
     write_manifest,
 )
-from .model import NetConfig
+from .model import NetConfig, chain_plan
 from .tensor import bicubic_resize_array
 from .train import TrainConfig, load_checkpoint, train
 
@@ -151,7 +152,7 @@ def cmd_train(args) -> int:
     train_rel = man.paths("train")
     if not train_rel:
         raise ParameterError(f"{man_path}: manifest has no train entries")
-    bands = read_cube(man_path.parent / train_rel[0]).bands
+    bands, _, _ = read_cube_header(man_path.parent / train_rel[0])
     net_cfg = NetConfig(bands=bands, scale=man.scale,
                         **{f.name: values[k] for k, f in _hparams(NetConfig).items()})
     tcfg = TrainConfig(**{f.name: values[k] for k, f in _hparams(TrainConfig).items()})
@@ -177,10 +178,14 @@ def cmd_sr(args) -> int:
     net, in_path, files, out = _infer_inputs(args)
     if args.save_samples:
         Path(args.save_samples).mkdir(parents=True, exist_ok=True)
+    chains = {}  # LR extents -> chain_plan, shared by every cube of those extents
     for f in files:
         cube = read_cube(f)
         target = out / f.name if in_path.is_dir() else out
-        write_cube(mc_mean(net, cube, args.n_samples, args.seed), target)
+        extents = (cube.height, cube.width)
+        if extents not in chains:
+            chains[extents] = chain_plan(net, *extents)
+        write_cube(mc_mean(net, cube, args.n_samples, args.seed, chains[extents]), target)
         if args.save_samples:
             _, samples = mc_infer(net, cube, args.n_samples, args.seed)
             for i, s in enumerate(samples):
@@ -201,9 +206,10 @@ def cmd_uncertainty(args) -> int:
         mean, samples = mc_infer(net, cube, args.n_samples, args.seed)
         umap = uncertainty(samples, mean)
         del mean, samples  # the N-sample stack is not alive while the map is written
-        # HSC1 stores [0,1]; percentages are scaled down by 100
-        frac = np.empty(umap.values.shape, dtype=np.float32)
-        np.divide(umap.values, 100.0, out=frac, casting="unsafe")
+        # HSC1 stores [0,1]; percentages are scaled down by 100, a band at a time
+        frac = np.empty(umap.counts.shape, dtype=np.float32)
+        for b in range(frac.shape[0]):
+            frac[b] = umap.percent(b) / 100.0
         del umap
         target = out / f.name if in_path.is_dir() else out
         write_cube(HSCube(frac, name=f.stem), target)

@@ -6,8 +6,12 @@ the clamped mean: each sample runs the gated LR half of every stage, and the
 affine HR half (head, pixel shuffle, tail) runs once per stage on the mean
 features, so no HR sample is built and memory does not grow with N.
 `mc_infer` also returns every sample, for uncertainty maps and sample
-export: it runs one single-sample HR estimate at a time, so memory grows
-with N only by the N output cubes.
+export: it refines one sample at a time in its slot of the output stack, so
+memory grows with N only by the N output cubes. Both add each stage's HR
+half into their output in bands of rows (`model.finish_stage`), so beyond
+the output cubes the HR side holds a few band-sized buffers, not whole
+cubes. `uncertainty` keeps its map as per-pixel hit counts, one byte each
+for N < 256.
 
 All metrics are computed in float64, one band at a time, so their
 temporaries are band-sized. MPSNR averages per-band PSNR (peak 1), MSSIM
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .hsdata import HSCube
-from .model import SRNet, estimate, mean_estimate
+from .model import SRNet, mean_estimate, refine
 from .tensor import Tensor
 
 __all__ = [
@@ -47,10 +51,20 @@ _SSIM_SIGMA = 1.5
 
 @dataclass
 class UncertaintyMap:
-    """Per-pixel disagreement percentages; every value is a multiple of 100/N."""
+    """Per-pixel counts of samples that disagree with the mean."""
 
-    values: np.ndarray  # [B, H, W] in [0, 100]
+    counts: np.ndarray  # [B, H, W] in 0..n_samples, dtype np.min_scalar_type(n_samples)
     n_samples: int
+
+    def percent(self, index=...) -> np.ndarray:
+        """float64 disagreement percentages of counts[index], each a
+        multiple of 100/N."""
+        return 100.0 * self.counts[index] / self.n_samples
+
+    @property
+    def values(self) -> np.ndarray:
+        """The whole map as percentages, [B, H, W] in [0, 100]."""
+        return self.percent()
 
 
 @dataclass
@@ -97,15 +111,17 @@ def _sample_rngs(n: int, seed):
     return (np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n))
 
 
-def mc_mean(net: SRNet, cube, n: int, seed) -> HSCube:
+def mc_mean(net: SRNet, cube, n: int, seed, chains: list = None) -> HSCube:
     """The clamped mean of `mc_infer`'s N samples, without building them.
 
     Sample i draws its gates from the i-th substream of SeedSequence(seed),
     as in `mc_infer`; the result matches `mc_infer`'s mean to float32
-    rounding (the affine half runs once, on the mean features).
+    rounding (the affine half runs once, on the mean features). `chains`,
+    `model.chain_plan` for the cube's extents, can be shared by every cube
+    of those extents.
     """
     xb, name = _lr_input(cube, n, seed)
-    y = mean_estimate(net, xb, _sample_rngs(n, seed)).data[0]
+    y = mean_estimate(net, xb, _sample_rngs(n, seed), chains).data[0]
     return HSCube(np.clip(y, 0.0, 1.0, out=y), name=name)
 
 
@@ -115,23 +131,32 @@ def mc_infer(net: SRNet, cube, n: int, seed):
     Returns (mean HSCube, list of N sample HSCubes). Sample i is one
     single-sample HR estimate on the i-th substream of SeedSequence(seed),
     so it does not depend on N; the samples are views into one float32
-    [N,B,H,W] stack.
+    [N,B,H,W] stack, and each is refined in its own slot of it.
     """
     xb, name = _lr_input(cube, n, seed)
     _, b, h, w = xb.shape
     a = net.cfg.scale
     stack = np.empty((n, b, h * a, w * a), dtype=np.float32)
     for i, rng in enumerate(_sample_rngs(n, seed)):
-        # one statement, so the sample's activations die before the next one
-        stack[i] = estimate(net, xb, "sample", rng=rng).data[0]
+        refine(net, xb, stack[i:i + 1], "sample", rng)
     mean = np.mean(stack, axis=0)
     samples = [HSCube(stack[i], name=f"{name}_s{i}") for i in range(n)]
     return HSCube(np.clip(mean, 0.0, 1.0, out=mean), name=name), samples
 
 
+def _bins(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """round(plane * 255) / 255 in float64, written into `out`."""
+    out[...] = plane
+    out *= 255.0
+    np.round(out, out=out)
+    out /= 255.0
+    return out
+
+
 def uncertainty(samples: list, mean) -> UncertaintyMap:
-    """Percentage of samples whose 1/255-discretized value disagrees with the
-    discretized mean, per pixel. Consumes no ground truth.
+    """Per pixel, how many samples have a 1/255-discretized value that
+    disagrees with the discretized mean; a NaN or infinite sample value
+    always disagrees. Consumes no ground truth.
 
     Works one band at a time in float64, so its temporaries are band-sized."""
     if len(samples) < 2:
@@ -142,14 +167,13 @@ def uncertainty(samples: list, mean) -> UncertaintyMap:
         if v.shape != ref.shape:
             raise DimensionError(f"sample shape {v.shape} != mean shape {ref.shape}")
     n = len(samples)
-    values = np.empty(ref.shape)
+    counts = np.zeros(ref.shape, dtype=np.min_scalar_type(n))
+    ref_bin, bins = np.empty(ref.shape[1:]), np.empty(ref.shape[1:])
     for b in range(ref.shape[0]):
-        ref_bin = np.round(ref[b].astype(np.float64) * 255.0) / 255.0
-        hits = np.zeros(ref.shape[1:], dtype=np.int32)
+        _bins(ref[b], ref_bin)
         for v in vals:
-            hits += np.round(v[b].astype(np.float64) * 255.0) / 255.0 != ref_bin
-        values[b] = 100.0 * hits / n
-    return UncertaintyMap(values, n_samples=n)
+            counts[b] += _bins(v[b], bins) != ref_bin
+    return UncertaintyMap(counts, n_samples=n)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ __all__ = [
     "HSCube",
     "DatasetManifest",
     "read_cube",
+    "read_cube_header",
     "write_cube",
     "read_manifest",
     "write_manifest",
@@ -138,31 +139,59 @@ def write_cube(cube: HSCube, path) -> None:
     atomic_write(path, (_MAGIC, struct.pack("<III", b, h, w), payload))
 
 
-def read_cube(path) -> HSCube:
-    """Load an HSC1 cube, validating the header against the payload size."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 16:
+def _header(fh, path: Path) -> tuple:
+    """(B, H, W) from the HSC1 header at the start of the open file `fh`,
+    checked against the file's size; leaves `fh` at the payload."""
+    head = fh.read(16)
+    if len(head) < 16:
         raise FormatError(f"{path}: file too short for an HSC1 header")
-    if raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {_MAGIC!r}")
-    b, h, w = struct.unpack("<III", raw[4:16])
+    if head[:4] != _MAGIC:
+        raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {_MAGIC!r}")
+    b, h, w = struct.unpack("<III", head[4:16])
     for label, v in (("bands", b), ("height", h), ("width", w)):
         if v < 1:
             raise FormatError(f"{path}: header field {label} is zero")
     if b * h * w > _MAX_ELEMENTS:
         raise FormatError(f"{path}: header bands*height*width overflows ({b}x{h}x{w})")
-    expected = 16 + 4 * b * h * w
-    if len(raw) != expected:
-        kind = "truncated" if len(raw) < expected else "oversized"
+    expected, size = 16 + 4 * b * h * w, os.fstat(fh.fileno()).st_size
+    if size != expected:
+        kind = "truncated" if size < expected else "oversized"
         raise FormatError(
-            f"{path}: {kind} payload, header {b}x{h}x{w} needs {expected} bytes, file has {len(raw)}"
+            f"{path}: {kind} payload, header {b}x{h}x{w} needs {expected} bytes, file has {size}"
         )
-    vals = np.frombuffer(raw, dtype="<f4", offset=16).reshape(b, h, w).astype(np.float32)
-    if np.isnan(vals).any():
+    return b, h, w
+
+
+def read_cube_header(path) -> tuple:
+    """(bands, height, width) of an HSC1 cube, validated as `read_cube`
+    validates it, without reading the payload."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        return _header(fh, path)
+
+
+def read_cube(path) -> HSCube:
+    """Load an HSC1 cube, validating the header against the payload size.
+
+    The payload is read straight into the returned float32 array, and NaN
+    and out-of-range values are found by its min and max, so the only
+    cube-sized allocation is the cube itself."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        b, h, w = _header(fh, path)
+        vals = np.empty((b, h, w), dtype="<f4")
+        got = fh.readinto(vals.reshape(-1).view(np.uint8))
+    if got != vals.nbytes:  # the file shrank after its size was checked
+        raise FormatError(f"{path}: truncated payload, header {b}x{h}x{w} needs "
+                          f"{16 + vals.nbytes} bytes, file has {16 + got}")
+    vals = vals.astype(np.float32, copy=False)  # a copy only on big-endian hosts
+    lo, hi = vals.min(), vals.max()
+    if np.isnan(lo):  # the min is NaN if any value is
         raise FormatError(f"{path}: payload contains NaN values")
-    out_of_range = int(np.count_nonzero((vals < 0.0) | (vals > 1.0)))
-    if out_of_range:
+    out_of_range = 0
+    if lo < 0.0 or hi > 1.0:
+        for band in vals:
+            out_of_range += int(np.count_nonzero((band < 0.0) | (band > 1.0)))
         np.clip(vals, 0.0, 1.0, out=vals)
     return HSCube(vals, name=path.stem, clamped=out_of_range)
 

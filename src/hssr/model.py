@@ -11,7 +11,9 @@ one degradation conv shared across all stages and the loss.
 
 Only the LR half of a stage is gated; the head, shuffle, tail and
 degradation are affine, which `mean_estimate` uses to average Monte-Carlo
-samples without building any of them at HR.
+samples without building any of them at HR. Without a tape, a stage's HR
+half runs in bands of rows and adds each band into the estimate in place
+(`finish_stage`), so no whole HR cube is built beside the estimate itself.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .tensor import (
     bicubic_resize,
     concat_channels,
     conv2d,
+    conv_block_rows,
     gate_channels,
     mean_all,
     mul,
@@ -58,10 +61,13 @@ __all__ = [
     "aggregate",
     "stage_features",
     "stage_upsample",
+    "finish_stage",
     "degrade",
     "estimate",
+    "refine",
     "forward",
     "chain_kernels",
+    "chain_plan",
     "mean_estimate",
     "loss",
 ]
@@ -297,6 +303,51 @@ def stage_upsample(stage: StageNet, f: Tensor, alpha: int, graph: Graph = None) 
     return stage.tail.apply(r, graph)
 
 
+def finish_stage(stage: StageNet, f: np.ndarray, alpha: int, y: np.ndarray) -> None:
+    """y += stage_upsample(stage, f, alpha), in place and without a tape, a
+    band of rows at a time, for f [N, C, h, w].
+
+    The head and the tail run as valid convs over exactly the row blocks
+    that `conv2d` runs them in on the whole cube (`conv_block_rows`, sized
+    by its byte budget), so every matmul and every bit is the same as in
+    `stage_upsample`. f is zero-padded once; each head block is shuffled
+    into a tail input whose side columns stay zero, and a tail block runs as
+    soon as the head has made its rows. The rows a tail block shares with
+    the next (the tail's halo) stay in the buffer, so no head row is made
+    twice, and the buffer holds about one head block and one tail block.
+    """
+    head = ConvLayer(stage.head.kernel, stage.head.bias)  # valid convs: padding is done here
+    tail = ConvLayer(stage.tail.kernel, stage.tail.bias)
+    ph, pt = stage.head.padding, stage.tail.padding
+    n, c, h, w = f.shape
+    b, _, kt, _ = tail.kernel.data.shape
+    kh = head.kernel.data.shape[2]
+    hrows = conv_block_rows(c, h, w, kh, kh, 1, ph, f.itemsize)
+    trows = conv_block_rows(b, alpha * h, alpha * w, kt, kt, 1, pt, f.itemsize)
+    fp = np.pad(f, ((0, 0), (0, 0), (ph, ph), (ph, ph)))
+    # tail input rows: a tail block and its halo, then a head block, then the
+    # pt zero rows below the cube
+    buf = np.zeros((n, b, trows + kt - 1 + alpha * hrows + pt, alpha * w + 2 * pt), dtype=f.dtype)
+    lo, hi = -pt, 0  # buf holds tail input rows lo..hi-1; those above the cube are zero
+    todo = ((t0, min(trows, alpha * h - t0)) for t0 in range(0, alpha * h, trows))
+    t0, t = next(todo)
+    for s0 in range(0, h, hrows):
+        s = min(hrows, h - s0)
+        pixel_shuffle(head.apply(Tensor(fp[:, :, s0:s0 + s + kh - 1])), alpha,
+                      out=buf[:, :, hi - lo:hi - lo + alpha * s, pt:pt + alpha * w])
+        hi += alpha * s
+        if s0 + s == h:
+            buf[:, :, hi - lo:hi - lo + pt] = 0
+            hi += pt
+        while t and t0 + t + kt - 1 - pt <= hi:  # the head has made every row it reads
+            rows = buf[:, :, t0 - pt - lo:t0 - pt - lo + t + kt - 1]
+            y[:, :, t0:t0 + t] += tail.apply(Tensor(rows)).data
+            t0, t = next(todo, (0, 0))
+        if t:  # keep the next tail block's rows on hand, at the top of buf
+            buf[:, :, :hi - t0 + pt] = buf[:, :, t0 - pt - lo:hi - lo]
+            lo = t0 - pt
+
+
 def degrade(net: SRNet, hr: Tensor, graph: Graph = None) -> Tensor:
     """Learned HR->LR map: the shared stride-alpha convolution."""
     a = net.cfg.scale
@@ -322,15 +373,32 @@ def estimate(net: SRNet, x, mode: str, rng=None, graph: Graph = None) -> Tensor:
     The first stage corrects bicubic upsampling; stage t >= 2 sees the
     residual between the network input and degrade(previous estimate) and
     adds its correction to the running estimate. Output is not clamped
-    here; clamping happens only at image export.
+    here; clamping happens only at image export. With a graph, each stage's
+    correction is a whole taped cube; without one, see `refine`.
     """
     x = _as_input(net, x)
     a = net.cfg.scale
     n, b, h, w = x.shape
+    if graph is None:
+        return Tensor(refine(net, x, np.empty((n, b, h * a, w * a), dtype=x.dtype), mode, rng))
     y = bicubic_resize(x.detach(), h * a, w * a)
     for t, stage in enumerate(net.stages):
         inp = x if t == 0 else sub(x, degrade(net, y, graph))
         y = add(stage_upsample(stage, stage_features(stage, inp, mode, rng, graph), a, graph), y)
+    return y
+
+
+def refine(net: SRNet, x, y: np.ndarray, mode: str, rng=None) -> np.ndarray:
+    """`estimate` without a tape, written into y [N, B, alpha*h, alpha*w]:
+    y starts as the bicubic base, and each stage adds its correction into it
+    band by band (`finish_stage`). Returns y."""
+    x = _as_input(net, x)
+    a = net.cfg.scale
+    _, _, h, w = x.shape
+    bicubic_resize(x.detach(), h * a, w * a, out=y)
+    for t, stage in enumerate(net.stages):
+        inp = x if t == 0 else sub(x, degrade(net, Tensor(y)))
+        finish_stage(stage, stage_features(stage, inp, mode, rng).data, a, y)
     return y
 
 
@@ -359,6 +427,11 @@ def forward(net: SRNet, x, mode: str, rng=None, graph: Graph = None):
 # composed in float64 straight from the head, tail and degrade weights. A
 # kernel spans only the f offsets its class's chain reads: 5x5 in the
 # interior at x2, 4x4 (offsets -2..1) at x4 and x8, less on the borders.
+# The kernels depend on the weights and the LR extents only, so `chain_plan`
+# builds them once for every cube of one extent. The HR half then runs once
+# per stage through `finish_stage`, in conv row blocks added into the output
+# in place: beyond the output cube, a stage holds a head block, a tail block
+# and its halo, and the zero-padded LR features.
 
 
 def _axis_classes(n: int, alpha: int, deg: ConvLayer, stage: StageNet):
@@ -461,24 +534,35 @@ def _chain_apply(radius: int, classes: list, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def mean_estimate(net: SRNet, x, rngs) -> Tensor:
+def chain_plan(net: SRNet, h: int, w: int, dtype=np.float32) -> list:
+    """`chain_kernels` of every stage but the last on an h x w LR grid, with
+    kernels and constants cast to `dtype`: what `mean_estimate` needs for
+    every cube of that extent."""
+    plan = []
+    for stage in net.stages[:-1]:
+        radius, classes = chain_kernels(net, stage, h, w)
+        plan.append((radius, [(ys, xs, o, k.astype(dtype), e.astype(dtype))
+                              for ys, xs, o, k, e in classes]))
+    return plan
+
+
+def mean_estimate(net: SRNet, x, rngs, chains: list = None) -> Tensor:
     """Mean of estimate(net, x, "sample", rng) over `rngs`, with no HR sample.
 
     Each generator draws its gates in `estimate`'s order, but a sample runs
     only the gated LR halves of the stages; its next-stage input comes from
     degrade(base) plus the chain convs of its finished stages. The HR head
-    and tail then run once per stage, on the stage's mean features.
+    and tail then run once per stage, on the stage's mean features, adding
+    into the base band by band. `chains` is `chain_plan` for x's extents and
+    dtype, built here when not given.
     """
     x = _as_input(net, x)
     a = net.cfg.scale
     n, b, h, w = x.shape
     base = bicubic_resize(x, h * a, w * a)
     xhat0 = degrade(net, base).data
-    chains = []
-    for stage in net.stages[:-1]:
-        radius, classes = chain_kernels(net, stage, h, w)
-        chains.append((radius, [(ys, xs, o, k.astype(x.dtype), e.astype(x.dtype))
-                                for ys, xs, o, k, e in classes]))
+    if chains is None:
+        chains = chain_plan(net, h, w, x.dtype)
     fsum = np.zeros((len(net.stages), n, net.cfg.channels, h, w))
     count = 0
     for rng in rngs:
@@ -493,7 +577,7 @@ def mean_estimate(net: SRNet, x, rngs) -> Tensor:
     if not count:
         raise ParameterError("need at least one generator")
     for stage, s in zip(net.stages, fsum):
-        base.data += stage_upsample(stage, Tensor((s / count).astype(x.dtype)), a).data
+        finish_stage(stage, (s / count).astype(x.dtype), a, base.data)
     return base
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "gate_channels",
     "concat_channels",
     "conv2d",
+    "conv_block_rows",
     "pixel_shuffle",
     "bicubic_resize",
     "bicubic_resize_array",
@@ -354,6 +355,20 @@ def _conv_out_extent(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
 
 
+def conv_block_rows(cin: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int,
+                    itemsize: int) -> int:
+    """Output rows per block of a dense `conv2d` of an [N, cin, h, w] input
+    with a kh x kw kernel, which runs one column-buffer matmul per block and
+    sample: the fewest equal blocks whose column buffer and input strip
+    (when that is a copy) fit in _COLS_BYTES. The last block may be shorter.
+    The plan depends on the layer and output shapes only."""
+    ho, wo = _conv_out_extent(h, kh, stride, padding), _conv_out_extent(w, kw, stride, padding)
+    sw, copied = w + 2 * padding, int(padding > 0)
+    room = _COLS_BYTES // (cin * itemsize) - copied * (kh - stride) * sw
+    rows = max(1, room // (kh * kw * wo + copied * stride * sw))
+    return -(-ho // -(-ho // rows))
+
+
 def _clip(off: int, stride: int, padding: int, size: int, n: int):
     """Outputs 0 <= o < n whose input stride*o + off - padding lies in
     [0, size), as (input slice, output slice); both empty if there are none."""
@@ -398,16 +413,17 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
     slice into a reused product buffer and adds that into the output; its
     input gradient adds each tap's products into the same slice of one
     zero-padded gradient, which is then cropped.
-    Dense convs work sample by sample in blocks of output rows, the fewest
-    equal blocks whose [kh*kw*Cin, rows*Wo] column buffer and input strip
-    fit in _COLS_BYTES (the last block may be shorter), so the buffer is
-    still in cache when the matmul reads it. Per block and sample, the input
-    rows the block reads are copied into a zero-bordered strip (a view when
-    padding is 0), each tap's slice of it fills the tap's rows of the
-    buffer, and one matmul writes the output rows. The backward gathers the
-    same columns for the kernel gradient, multiplies the output gradient
-    back into the buffer and adds each tap's rows into its slice of one
-    zero-padded input gradient for the whole batch. The block plan depends
+    Dense convs work sample by sample in blocks of output rows
+    (`conv_block_rows`), the fewest equal blocks whose [kh*kw*Cin, rows*Wo]
+    column buffer and input strip fit in _COLS_BYTES (the last block may be
+    shorter), so the buffer is still in cache when the matmul reads it. Per
+    block and sample, the input rows the block reads are copied into a
+    zero-bordered strip (a view when padding is 0), each tap's slice of it
+    fills the tap's rows of the buffer, and one matmul writes the output
+    rows. The backward gathers the same columns for the kernel gradient,
+    multiplies the output gradient back into the buffer and adds each tap's
+    rows into its slice of one zero-padded input gradient for the whole
+    batch. The block plan depends
     on the layer and output shapes only, never on the batch size, so a
     sample's result does not depend on its batch. The depthwise kernel
     gradient sums each tap over the outputs whose input is in bounds only.
@@ -466,12 +482,8 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
             np.multiply(tap(xp, t), ktap[t], out=prod)
             out += prod
     else:
-        # rows per block: the fewest equal blocks whose column buffer and
-        # strip (when that is a copy) fit the budget
-        sw, copied = w + 2 * padding, int(padding > 0)
-        room = _COLS_BYTES // (cin * xd.itemsize) - copied * (kh - stride) * sw
-        rows = max(1, room // (ntap * wo + copied * stride * sw))
-        rows = -(-ho // -(-ho // rows))
+        rows = conv_block_rows(cin, h, w, kh, kw, stride, padding, xd.itemsize)
+        sw = w + 2 * padding
         blocks = [(r0, min(rows, ho - r0)) for r0 in range(0, ho, rows)]
 
         def gather(b, r0, r, cols, sbuf):  # the columns of sample b's output rows r0..r0+r-1
@@ -540,11 +552,13 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
     return _emit("conv2d", out, (x, kernel, bias), grad_fn)
 
 
-def pixel_shuffle(x, r: int) -> Tensor:
+def pixel_shuffle(x, r: int, out=None) -> Tensor:
     """Depth-to-space: [N, C*r*r, H, W] -> [N, C, rH, rW].
 
     out[n, c, h*r+i, w*r+j] == x[n, c*r*r + i*r + j, h, w]; a bijection on
-    elements, so the gradient is the inverse rearrangement.
+    elements, so the gradient is the inverse rearrangement. For an input off
+    the tape, `out` (an array of the result's shape, which may be a strided
+    view) receives the result instead of a new array.
     """
     x = _as_tensor(x)
     if not isinstance(r, int) or r < 1:
@@ -555,16 +569,22 @@ def pixel_shuffle(x, r: int) -> Tensor:
     if c2 % (r * r):
         raise ParameterError(f"pixel_shuffle: {c2} channels not divisible by {r}^2")
     c = c2 // (r * r)
-    out = (
-        x.data.reshape(n, c, r, r, h, w)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(n, c, h * r, w * r)
-    )
+    src = x.data.reshape(n, c, r, r, h, w).transpose(0, 1, 4, 2, 5, 3)  # [n, c, h, r, w, r]
+    if out is None:
+        def grad_fn(g):
+            return (g.reshape(n, c, h, r, w, r).transpose(0, 1, 3, 5, 2, 4).reshape(n, c2, h, w),)
 
-    def grad_fn(g):
-        return (g.reshape(n, c, h, r, w, r).transpose(0, 1, 3, 5, 2, 4).reshape(n, c2, h, w),)
-
-    return _emit("pixel_shuffle", np.ascontiguousarray(out), (x,), grad_fn)
+        return _emit("pixel_shuffle", np.ascontiguousarray(src.reshape(n, c, h * r, w * r)),
+                     (x,), grad_fn)
+    if x.graph is not None:
+        raise ParameterError("pixel_shuffle: out= is for inputs off the tape")
+    if out.shape != (n, c, h * r, w * r):
+        raise DimensionError(f"pixel_shuffle: out has shape {out.shape}, expected "
+                             f"{(n, c, h * r, w * r)}")
+    s0, s1, s2, s3 = out.strides
+    np.lib.stride_tricks.as_strided(out, (n, c, h, r, w, r), (s0, s1, r * s2, s2, r * s3, s3),
+                                    writeable=True)[...] = src
+    return Tensor(out)
 
 
 # ---------------------------------------------------------------------------
@@ -596,30 +616,34 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     return mat
 
 
-def bicubic_resize_array(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bicubic resample of the trailing two axes of `arr`.
+def bicubic_resize_array(arr: np.ndarray, out_h: int, out_w: int, out=None) -> np.ndarray:
+    """Bicubic resample of the trailing two axes of `arr`, into `out` if given.
 
     Weights are computed in float64 and applied slice by slice, so a given
     plane resamples identically no matter how it is batched; each float64
-    plane is rounded straight into the result, which has the input's dtype.
+    plane is rounded straight into the result, which has the input's dtype
+    unless `out` (of the result's shape) has another.
     """
     if out_h < 1 or out_w < 1:
         raise ParameterError(f"bicubic_resize: target {out_h}x{out_w} must be positive")
     if arr.ndim < 2:
         raise DimensionError("bicubic_resize: need at least 2 dims")
     h, w = arr.shape[-2], arr.shape[-1]
+    shape = arr.shape[:-2] + (out_h, out_w)
+    if out is None:
+        out = np.empty(shape, dtype=arr.dtype)
+    elif out.shape != shape:
+        raise DimensionError(f"bicubic_resize: out has shape {out.shape}, expected {shape}")
     row_op = _resize_matrix(h, out_h)
     col_op = _resize_matrix(w, out_w).T
-    flat = arr.reshape(-1, h, w)
-    out = np.empty((flat.shape[0], out_h, out_w), dtype=arr.dtype)
-    for i in range(flat.shape[0]):
-        out[i] = row_op @ flat[i].astype(np.float64) @ col_op
-    return out.reshape(arr.shape[:-2] + (out_h, out_w))
+    for i in np.ndindex(arr.shape[:-2]):
+        out[i] = row_op @ arr[i].astype(np.float64) @ col_op
+    return out
 
 
-def bicubic_resize(x, out_h: int, out_w: int) -> Tensor:
+def bicubic_resize(x, out_h: int, out_w: int, out=None) -> Tensor:
     """Tensor wrapper over `bicubic_resize_array`; rejects tracked inputs."""
     x = _as_tensor(x)
     if x.graph is not None:
         raise ParameterError("bicubic_resize is not differentiable; detach the input first")
-    return Tensor(bicubic_resize_array(x.data, out_h, out_w))
+    return Tensor(bicubic_resize_array(x.data, out_h, out_w, out))

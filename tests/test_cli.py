@@ -15,7 +15,7 @@ import pytest
 from hssr import cli
 from hssr.cli import CONFIG_SCHEMA, _parse_value, main, read_run_config
 from hssr.errors import FormatError, ParameterError
-from hssr.evaluate import mc_infer
+from hssr.evaluate import mc_infer, mc_mean
 from hssr.hsdata import (
     DatasetManifest,
     HSCube,
@@ -26,7 +26,7 @@ from hssr.hsdata import (
     write_cube,
     write_manifest,
 )
-from hssr.model import parameters
+from hssr.model import NetConfig, build_net, chain_plan, parameters
 from hssr.train import load_checkpoint, save_checkpoint
 
 
@@ -230,6 +230,16 @@ class TestTrainCommand:
         out = capsys.readouterr().out
         assert "epoch=0 " in out and "checkpoint written" in out
 
+    def test_reads_only_the_first_cube_header(self, data_dir, tmp_path, monkeypatch):
+        # the band count comes from the header; train() loads the cubes itself
+        def no_payload(path):
+            raise AssertionError(f"cmd_train decoded {path}")
+
+        monkeypatch.setattr(cli, "read_cube", no_payload)
+        rc = main(["train", "--config", str(data_dir / "run.cfg"), "--set", "main_epochs=0",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+
     def test_bad_config_exit_code(self, data_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("manifest=manifest.txt\nbogus=1\n")
@@ -383,6 +393,31 @@ class TestInferenceCommands:
             assert rc == 0
             outs.append((tmp_path / sub).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_sr_builds_chain_kernels_once_per_extent(self, tmp_path, monkeypatch):
+        # a two-stage net, so the first stage's chain feeds the second
+        net = build_net(NetConfig(bands=3, scale=2, stages=2, units_per_stage=1, channels=4),
+                        np.random.default_rng(0))
+        save_checkpoint(net, tmp_path / "ck.pdec")
+        rng = np.random.default_rng(5)
+        (tmp_path / "in").mkdir()
+        for name, hw in (("a", 8), ("b", 12), ("c", 8)):
+            cube = random_smooth_cube(3, hw, hw, rng, name=name)
+            write_cube(cube, tmp_path / "in" / f"{name}.hsc")
+        plans = []
+
+        def counted(*args, **kwargs):
+            plans.append(args[1:])
+            return chain_plan(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "chain_plan", counted)
+        assert main(["sr", "--checkpoint", str(tmp_path / "ck.pdec"), "--input",
+                     str(tmp_path / "in"), "--n-samples", "3", "--out", str(tmp_path / "out")]) == 0
+        assert plans == [(8, 8), (12, 12)]
+        for name in ("a", "b", "c"):  # the shared plan gives mc_mean's own bits
+            want = mc_mean(net, read_cube(tmp_path / "in" / f"{name}.hsc"), 3, 0)
+            got = read_cube(tmp_path / "out" / f"{name}.hsc")
+            assert got.values.tobytes() == want.values.tobytes()
 
     def test_sr_peak_memory_does_not_grow_with_cube_count(self, run_dir, tmp_path):
         # 32x32 LR cubes: one output cube (3x64x64 float32, 48 KiB) is large

@@ -217,6 +217,21 @@ class TestUncertainty:
         umap = uncertainty([base, jitter], base)
         np.testing.assert_array_equal(umap.values, 0.0)
 
+    def test_non_finite_sample_values_disagree(self):
+        base = np.full((1, 1, 4), 100.0 / 255.0, dtype=np.float32)
+        odd = base.copy()
+        odd[0, 0, :3] = [np.nan, np.inf, -np.inf]
+        umap = uncertainty([base, odd], base)
+        np.testing.assert_array_equal(umap.counts, [[[1, 1, 1, 0]]])
+        np.testing.assert_array_equal(umap.values, [[[50.0, 50.0, 50.0, 0.0]]])
+
+    @pytest.mark.parametrize("n", [2, 255, 256])
+    def test_counts_are_the_smallest_unsigned_type(self, n):
+        v = np.zeros((1, 1, 1))
+        umap = uncertainty([v + 1.0] * (n - 1) + [v], v)
+        assert umap.counts.dtype == np.min_scalar_type(n)
+        assert umap.counts[0, 0, 0] == n - 1
+
     def test_matches_loop_oracle_exactly(self, rng):
         mean = rng.integers(0, 256, (3, 6, 6)).astype(np.float64) / 255.0
         samples = [
@@ -238,7 +253,8 @@ class TestUncertainty:
 
     def test_peak_memory_is_the_map_plus_band_temporaries(self, rng):
         # float32 cubes as `hssr uncertainty` passes them; nothing cube-sized
-        # beyond the returned float64 map
+        # beyond the returned one-byte counts: two float64 bands of bins and
+        # one bool band of disagreements
         mean = rng.uniform(size=(16, 64, 64)).astype(np.float32)
         samples = [HSCube(np.clip(mean + rng.normal(0, 0.01, mean.shape).astype(np.float32),
                                   0, 1)) for _ in range(3)]
@@ -250,7 +266,8 @@ class TestUncertainty:
         finally:
             tracemalloc.stop()
         band = 64 * 64 * np.dtype(np.float64).itemsize
-        assert peak - umap.values.nbytes <= 5 * band
+        assert umap.counts.nbytes == 16 * 64 * 64
+        assert peak - umap.counts.nbytes <= 2.5 * band, peak
 
     def test_argument_validation(self, rng):
         v = rng.uniform(size=(1, 2, 2))

@@ -22,6 +22,7 @@ from hssr.hsdata import (
     make_lr,
     random_smooth_cube,
     read_cube,
+    read_cube_header,
     read_manifest,
     write_cube,
     write_manifest,
@@ -97,6 +98,59 @@ class TestCubeFormat:
         back = read_cube(tmp_path / "c.hsc")
         assert back.clamped == 2
         np.testing.assert_array_equal(back.values.reshape(-1), [0.0, 0.25, 1.0, 1.0])
+
+    def test_loader_clamps_infinities_and_counts_them(self, tmp_path):
+        vals = np.array([-np.inf, 0.5, np.inf, 1.0], dtype="<f4").reshape(1, 2, 2)
+        (tmp_path / "c.hsc").write_bytes(b"HSC1" + struct.pack("<III", 1, 2, 2) + vals.tobytes())
+        back = read_cube(tmp_path / "c.hsc")
+        assert back.clamped == 2
+        np.testing.assert_array_equal(back.values.reshape(-1), [0.0, 0.5, 1.0, 1.0])
+
+    @pytest.mark.parametrize("blob,match", [
+        (b"HSC1\x00", "too short"),
+        (b"NOPE" + b"\x00" * 100, "magic"),
+        (b"HSC1" + struct.pack("<III", 0, 4, 4), "bands"),
+        (b"HSC1" + struct.pack("<III", 2 ** 31 - 1, 2 ** 31 - 1, 4), "overflow"),
+        (b"HSC1" + struct.pack("<III", 3, 8, 8) + b"\x00" * 400, "truncated"),
+        (b"HSC1" + struct.pack("<III", 1, 2, 2) + b"\x00" * 20, "oversized"),
+    ])
+    def test_header_reader_rejects_what_the_loader_rejects(self, tmp_path, blob, match):
+        (tmp_path / "h.hsc").write_bytes(blob)
+        for read in (read_cube, read_cube_header):
+            with pytest.raises(FormatError, match=match):
+                read(tmp_path / "h.hsc")
+
+    def test_payload_shorter_than_the_checked_size_rejected(self, tmp_path, monkeypatch):
+        # the file shrinks between the size check and the read
+        (tmp_path / "s.hsc").write_bytes(b"HSC1" + struct.pack("<III", 1, 2, 2) + b"\x00" * 8)
+        real = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            real(fd)[:6] + (16 + 16,) + real(fd)[7:]))
+        with pytest.raises(FormatError, match="truncated"):
+            read_cube(tmp_path / "s.hsc")
+
+    def test_header_reader_reads_no_payload(self, tmp_path):
+        # a NaN payload is the loader's to reject; the header is sound
+        vals = np.full((2, 3, 5), np.nan, dtype="<f4")
+        (tmp_path / "n.hsc").write_bytes(b"HSC1" + struct.pack("<III", 2, 3, 5) + vals.tobytes())
+        assert read_cube_header(tmp_path / "n.hsc") == (2, 3, 5)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-0.5, 1.5)])
+    def test_loader_peaks_within_a_mebibyte_of_the_payload(self, tmp_path, lo, hi):
+        # the payload is read straight into the returned array; range and NaN
+        # checks use reductions, and clamping counts band by band
+        vals = np.random.default_rng(0).uniform(lo, hi, (31, 128, 128)).astype(np.float32)
+        write_cube(HSCube(vals), tmp_path / "c.hsc")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cube = read_cube(tmp_path / "c.hsc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= vals.nbytes + (1 << 20), peak
+        np.testing.assert_array_equal(cube.values, np.clip(vals, 0.0, 1.0))
+        assert cube.clamped == np.count_nonzero((vals < 0.0) | (vals > 1.0))
 
     def test_writer_rejects_non_finite(self, tmp_path):
         with pytest.raises(ParameterError):

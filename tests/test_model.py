@@ -1,30 +1,39 @@
 """Network wiring: units, aggregation, stages, degradation, full forward, loss."""
 
 import gc
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import affine_net, float64_net, net_loss_and_grad
 from oracles import affine_chain_impulses, conv2d_loop
 from reference_net import extract_params, reference_forward
 
+from hssr import model, tensor
 from hssr.errors import DimensionError, ParameterError
+from hssr.evaluate import mc_infer
 from hssr.model import (
     NetConfig,
     aggregate,
     build_net,
     chain_kernels,
     degrade,
+    estimate,
+    finish_stage,
     forward,
     loss,
+    mean_estimate,
     parameters,
     stage_features,
     stage_upsample,
     unit_forward,
 )
-from hssr.tensor import Graph, Tensor, backward, bicubic_resize_array
+from hssr.tensor import Graph, Tensor, backward, bicubic_resize_array, conv_block_rows
 
 
 def small_net(bands=3, scale=2, stages=2, units=2, channels=8, seed=0, make=build_net):
@@ -272,6 +281,74 @@ class TestChainKernels:
                 assert (np.abs(edges).sum(axis=tuple({0, 1, 2, 3} - {axis})) > 0).all()
         if hw == (32, 32):  # one interior class, at the chain's full reach
             assert max(k.shape[2:] for *_, k, _ in classes) == (interior, interior)
+
+
+def _budget(cin, w, rows):
+    """A `tensor._COLS_BYTES` under which `conv2d` runs a padded 3x3 conv of
+    cin float32 channels and width w in blocks of at most `rows` rows."""
+    return 4 * cin * (rows * (10 * w + 2) + 2 * (w + 2))
+
+
+def _whole_cube_finish(stage, f, alpha, y):
+    y += stage_upsample(stage, Tensor(f), alpha).data
+
+
+class TestFinishStage:
+    @settings(max_examples=25)
+    @given(st.sampled_from([2, 4, 8]), st.integers(1, 9), st.integers(1, 9), st.integers(0, 99))
+    def test_every_band_height_matches_the_whole_cube_path(self, scale, h, w, seed):
+        # head bands of 1..h LR rows, from one per row to the whole cube: the
+        # finisher, mean_estimate and mc_infer keep the whole-cube bits
+        net = affine_net(scale, stages=2, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, 1, (1, 3, h, w)).astype(np.float32)
+        f = rng.standard_normal((2, 4, h, w)).astype(np.float32)
+        y0 = rng.uniform(0, 1, (2, 3, h * scale, w * scale)).astype(np.float32)
+        for rows in range(1, h + 1):
+            with mock.patch.object(tensor, "_COLS_BYTES", _budget(4, w, rows)):
+                assert conv_block_rows(4, h, w, 3, 3, 1, 1, 4) <= rows
+                y = y0.copy()
+                finish_stage(net.stages[0], f, scale, y)
+                np.testing.assert_array_equal(y, y0 + stage_upsample(net.stages[0], Tensor(f),
+                                                                      scale).data)
+                got = mean_estimate(net, x, [np.random.default_rng(i) for i in range(2)]).data
+                with mock.patch.object(model, "finish_stage", _whole_cube_finish):
+                    want = mean_estimate(net, x, [np.random.default_rng(i) for i in range(2)])
+                np.testing.assert_array_equal(got, want.data)
+                _, samples = mc_infer(net, x[0], 2, seed)
+                for s, ss in zip(samples, np.random.SeedSequence(seed).spawn(2)):
+                    taped = estimate(net, x, "sample", np.random.default_rng(ss), graph=Graph())
+                    np.testing.assert_array_equal(s.values, taped.data[0])
+
+    def test_peak_memory_grows_with_band_height_not_cube_height(self):
+        net = build_net(NetConfig(bands=8, scale=4, stages=1, units_per_stage=1, channels=4),
+                        np.random.default_rng(0))
+        stage = net.stages[0]
+
+        def peak(h, rows):
+            f = np.random.default_rng(1).standard_normal((1, 4, h, 32)).astype(np.float32)
+            y = np.zeros((1, 8, 4 * h, 128), dtype=np.float32)
+            with mock.patch.object(tensor, "_COLS_BYTES", _budget(4, 32, rows)):
+                finish_stage(stage, f, 4, y)  # warm up lazily built state
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    finish_stage(stage, f, 4, y)
+                    return tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+
+        # 32 -> 256 LR rows adds 224 rows of zero-padded f (4 x 34 floats
+        # each, 119 KiB) and no HR row; a whole-cube head, shuffle and tail
+        # would add three HR cubes of 224 LR rows (3.5 MiB each)
+        tall, short = peak(256, 8), peak(32, 8)
+        assert tall - short <= 224 * 4 * 34 * 4 + 16 * 1024, (short, tall)
+        # twice the head band: its head output and the tail input it is
+        # shuffled into each grow by 8 LR rows (128 KiB), the head's column
+        # buffer by a quarter of that
+        band = 8 * 16 * 8 * 32 * 4
+        assert 2 * band <= peak(32, 16) - short <= 3 * band, (short, peak(32, 16))
 
 
 class TestForward:

@@ -339,6 +339,22 @@ class TestPixelShuffle:
         with pytest.raises(ParameterError):
             pixel_shuffle(x, 0)
 
+    def test_into_a_strided_view(self, rng):
+        x = rng.random((2, 12, 3, 4), dtype=np.float32)
+        buf = np.zeros((2, 3, 9, 11), dtype=np.float32)
+        got = pixel_shuffle(Tensor(x), 2, out=buf[:, :, 1:7, 2:10])
+        assert np.shares_memory(got.data, buf)
+        np.testing.assert_array_equal(buf[:, :, 1:7, 2:10], pixel_shuffle_loop(x, 2))
+        buf[:, :, 1:7, 2:10] = 0
+        np.testing.assert_array_equal(buf, 0)  # nothing outside the view was written
+
+    def test_out_errors(self, rng):
+        x = rng.random((1, 4, 2, 2), dtype=np.float32)
+        with pytest.raises(DimensionError):
+            pixel_shuffle(Tensor(x), 2, out=np.empty((1, 1, 4, 5), np.float32))
+        with pytest.raises(ParameterError):
+            pixel_shuffle(Graph().leaf(x), 2, out=np.empty((1, 1, 4, 4), np.float32))
+
 
 class TestBicubic:
     def test_constant_preserved(self):
@@ -386,6 +402,14 @@ class TestBicubic:
         x = g.leaf(rng.random((1, 1, 4, 4)))
         with pytest.raises(ParameterError):
             bicubic_resize(x, 8, 8)
+
+    def test_into_a_given_array(self, rng):
+        arr = rng.random((2, 3, 5, 4), dtype=np.float32)
+        stack = np.empty((4, 3, 10, 8), dtype=np.float32)
+        bicubic_resize(Tensor(arr), 10, 8, out=stack[1:3])
+        np.testing.assert_array_equal(stack[1:3], bicubic_resize_array(arr, 10, 8))
+        with pytest.raises(DimensionError):
+            bicubic_resize_array(arr, 10, 8, out=stack[:1])
 
     def test_bad_target(self, rng):
         with pytest.raises(ParameterError):
