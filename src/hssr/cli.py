@@ -3,7 +3,9 @@
 Every command validates its inputs up front, writes outputs atomically
 (temp file + rename), and is deterministic given its seeds. Exit codes:
 0 success, 1 runtime failure (e.g. divergence), 2 configuration or
-validation error, 3 I/O error.
+validation error, 3 I/O error. Output directories appear when their first
+file is written (`hsdata.atomic_write` makes them), so a command that
+exits 2 leaves no output behind.
 """
 
 from __future__ import annotations
@@ -132,8 +134,6 @@ def cmd_prepare(args) -> int:
     )
     for rel, role in src.entries:
         cube = read_cube(src_dir / rel)
-        (out / "hr" / role).mkdir(parents=True, exist_ok=True)
-        (out / "lr" / role).mkdir(parents=True, exist_ok=True)
         for patch in extract_patches(cube, args.patch, args.stride):
             lr = make_lr(patch, args.scale, args.noise_sigma, rng)
             write_cube(patch, out / "hr" / role / f"{patch.name}.hsc")
@@ -162,26 +162,19 @@ def cmd_train(args) -> int:
 
 
 def _infer_inputs(args):
+    """The checkpoint's net and one (LR cube file, output file) pair per cube."""
     _check_seed(args.seed)
     net = load_checkpoint(Path(args.checkpoint))
-    in_path = Path(args.input)
+    in_path, out = Path(args.input), Path(args.out)
     files = _cube_files(in_path)
-    out = Path(args.out)
-    if in_path.is_dir():
-        out.mkdir(parents=True, exist_ok=True)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-    return net, in_path, files, out
+    return net, [(f, out / f.name if in_path.is_dir() else out) for f in files]
 
 
 def cmd_sr(args) -> int:
-    net, in_path, files, out = _infer_inputs(args)
-    if args.save_samples:
-        Path(args.save_samples).mkdir(parents=True, exist_ok=True)
+    net, jobs = _infer_inputs(args)
     chains = {}  # LR extents -> chain_plan, shared by every cube of those extents
-    for f in files:
+    for f, target in jobs:
         cube = read_cube(f)
-        target = out / f.name if in_path.is_dir() else out
         extents = (cube.height, cube.width)
         if extents not in chains:
             chains[extents] = chain_plan(net, *extents)
@@ -193,15 +186,15 @@ def cmd_sr(args) -> int:
                 write_cube(s, Path(args.save_samples) / f"{f.stem}_s{i}.hsc")
             # drop this cube's N-sample stack before the next mc_infer allocates its own
             del samples
-    print(f"super-resolved {len(files)} cube(s) -> {out}")
+    print(f"super-resolved {len(jobs)} cube(s) -> {args.out}")
     return 0
 
 
 def cmd_uncertainty(args) -> int:
     if args.n_samples < 2:
         raise ParameterError(f"uncertainty needs --n-samples >= 2, got {args.n_samples}")
-    net, in_path, files, out = _infer_inputs(args)
-    for f in files:
+    net, jobs = _infer_inputs(args)
+    for f, target in jobs:
         cube = read_cube(f)
         mean, samples = mc_infer(net, cube, args.n_samples, args.seed)
         umap = uncertainty(samples, mean)
@@ -211,10 +204,9 @@ def cmd_uncertainty(args) -> int:
         for b in range(frac.shape[0]):
             frac[b] = umap.percent(b) / 100.0
         del umap
-        target = out / f.name if in_path.is_dir() else out
         write_cube(HSCube(frac, name=f.stem), target)
         del frac
-    print(f"wrote {len(files)} uncertainty map(s) -> {out}")
+    print(f"wrote {len(jobs)} uncertainty map(s) -> {args.out}")
     return 0
 
 
@@ -247,12 +239,13 @@ def cmd_eval(args) -> int:
     gt_dir = Path(args.gt_dir)
     files = _cube_files(Path(args.pred_dir))
     rep = evaluate_pairs(_eval_pairs(files, gt_dir))
-    report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write(report_path, [report_csv(rep).encode()])
-    sys.stdout.write(report_text(rep))
+    base_rep = None  # scored, like rep, before either report is written
     if args.baseline_bicubic:
         base_rep = evaluate_pairs(_bicubic_pairs(files, gt_dir, Path(args.baseline_bicubic)))
+    report_path = Path(args.report)
+    atomic_write(report_path, [report_csv(rep).encode()])
+    sys.stdout.write(report_text(rep))
+    if base_rep is not None:
         base_path = report_path.with_name(report_path.stem + "_bicubic" + report_path.suffix)
         atomic_write(base_path, [report_csv(base_rep).encode()])
         sys.stdout.write("bicubic baseline:\n" + report_text(base_rep))

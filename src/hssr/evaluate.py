@@ -4,7 +4,8 @@ Inference draws N hard gate configurations (independent substreams spawned
 from one seed) and averages the N reconstructions. `mc_mean` returns only
 the clamped mean: each sample runs the gated LR half of every stage, and the
 affine HR half (head, pixel shuffle, tail) runs once per stage on the mean
-features, so no HR sample is built and memory does not grow with N.
+features, so no HR sample is built and memory does not grow with N; its
+output cube is made after the samples, so the sample loop holds no HR cube.
 `mc_infer` also returns every sample, for uncertainty maps and sample
 export: it refines one sample at a time in its slot of the output stack, so
 memory grows with N only by the N output cubes. Both add each stage's HR
@@ -14,7 +15,8 @@ cubes. `uncertainty` keeps its map as per-pixel hit counts, one byte each
 for N < 256.
 
 All metrics are computed in float64, one band at a time, so their
-temporaries are band-sized. MPSNR averages per-band PSNR (peak 1), MSSIM
+temporaries are band-sized; MSSIM filters its five moment maps (x, y, x^2,
+y^2, xy) one at a time. MPSNR averages per-band PSNR (peak 1), MSSIM
 averages per-band SSIM with the reference 11x11 Gaussian window, and SAM is
 the mean per-pixel spectral angle in degrees.
 """
@@ -211,24 +213,24 @@ def _toeplitz_block(w: np.ndarray) -> np.ndarray:
     return blk
 
 
-def _smooth_valid(maps: np.ndarray, blk: np.ndarray) -> np.ndarray:
-    """Separable valid-region filtering of stacked maps [M, H, W].
+def _smooth_valid(plane: np.ndarray, blk: np.ndarray) -> np.ndarray:
+    """Separable valid-region filtering of one map [H, W].
 
     Each axis is filtered in blocks of up to B outputs: a block of r outputs
     is the top-left [r, r+k-1] corner of the Toeplitz block times the r+k-1
     inputs it reads, so no multiply touches the operator's zero band.
     """
     ext = blk.shape[1] - blk.shape[0]  # k - 1
-    m, h, wd = maps.shape
+    h, wd = plane.shape
     ho, wo = h - ext, wd - ext
-    rows = np.empty((m, ho, wd))
+    rows = np.empty((ho, wd))
     for r0 in range(0, ho, _SMOOTH_BLOCK):
         r = min(_SMOOTH_BLOCK, ho - r0)
-        rows[:, r0:r0 + r] = blk[:r, :r + ext] @ maps[:, r0:r0 + r + ext]
-    out = np.empty((m, ho, wo))
+        rows[r0:r0 + r] = blk[:r, :r + ext] @ plane[r0:r0 + r + ext]
+    out = np.empty((ho, wo))
     for c0 in range(0, wo, _SMOOTH_BLOCK):
         c = min(_SMOOTH_BLOCK, wo - c0)
-        out[:, :, c0:c0 + c] = rows[:, :, c0:c0 + c + ext] @ blk[:c, :c + ext].T
+        out[:, c0:c0 + c] = rows[:, c0:c0 + c + ext] @ blk[:c, :c + ext].T
     return out
 
 
@@ -247,10 +249,10 @@ def mssim(pred, ref) -> float:
     scores = []
     for b in range(p.shape[0]):
         x, y = p[b].astype(np.float64), r[b].astype(np.float64)
-        mu_x, mu_y, s_xx, s_yy, s_xy = _smooth_valid(np.stack([x, y, x * x, y * y, x * y]), blk)
-        var_x = s_xx - mu_x * mu_x
-        var_y = s_yy - mu_y * mu_y
-        cov = s_xy - mu_x * mu_y
+        mu_x, mu_y = _smooth_valid(x, blk), _smooth_valid(y, blk)
+        var_x = _smooth_valid(x * x, blk) - mu_x * mu_x
+        var_y = _smooth_valid(y * y, blk) - mu_y * mu_y
+        cov = _smooth_valid(x * y, blk) - mu_x * mu_y
         num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
         den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
         scores.append(np.mean(num / den))

@@ -92,9 +92,11 @@ def atomic_write(path, chunks) -> None:
 
     They go to a new temp file next to `path` (a random name opened with
     O_EXCL, mode 0o666 less the umask), which then replaces `path`; if the
-    write or the rename fails, the temp file is removed.
+    write or the rename fails, the temp file is removed. Missing parent
+    directories are made first, so a directory appears with its first file.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -308,8 +310,8 @@ def make_lr(hr: HSCube, alpha: int, noise_sigma: float = 0.0, rng=None) -> HSCub
     """
     if alpha not in (2, 4, 8):
         raise ParameterError(f"scale factor must be 2, 4 or 8, got {alpha}")
-    if noise_sigma < 0:
-        raise ParameterError(f"noise sigma must be >= 0, got {noise_sigma}")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ParameterError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     if hr.height % alpha or hr.width % alpha:
         raise ParameterError(
             f"extents {hr.height}x{hr.width} not divisible by scale {alpha}"

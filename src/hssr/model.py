@@ -553,14 +553,14 @@ def mean_estimate(net: SRNet, x, rngs, chains: list = None) -> Tensor:
     only the gated LR halves of the stages; its next-stage input comes from
     degrade(base) plus the chain convs of its finished stages. The HR head
     and tail then run once per stage, on the stage's mean features, adding
-    into the base band by band. `chains` is `chain_plan` for x's extents and
-    dtype, built here when not given.
+    band by band into a bicubic base made after the loop, so no HR cube is
+    alive while the samples run. `chains` is `chain_plan` for x's extents
+    and dtype, built here when not given.
     """
     x = _as_input(net, x)
     a = net.cfg.scale
     n, b, h, w = x.shape
-    base = bicubic_resize(x, h * a, w * a)
-    xhat0 = degrade(net, base).data
+    xhat0 = degrade(net, bicubic_resize(x, h * a, w * a)).data
     if chains is None:
         chains = chain_plan(net, h, w, x.dtype)
     fsum = np.zeros((len(net.stages), n, net.cfg.channels, h, w))
@@ -576,6 +576,7 @@ def mean_estimate(net: SRNet, x, rngs, chains: list = None) -> Tensor:
                 xhat = xhat + _chain_apply(*chains[t], f)
     if not count:
         raise ParameterError("need at least one generator")
+    base = bicubic_resize(x, h * a, w * a)
     for stage, s in zip(net.stages, fsum):
         finish_stage(stage, (s / count).astype(x.dtype), a, base.data)
     return base

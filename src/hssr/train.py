@@ -207,8 +207,6 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir, b
     checkpoint already on disk is left in place and a TrainingError is
     raised.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pairs = load_pairs(man, base_dir)
     if not pairs:
         raise ParameterError("manifest has no train entries")
@@ -233,8 +231,9 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir, b
 
     history = []
     total = cfg.warmup_epochs + cfg.main_epochs
-    log_path = out_dir / "train.log"
-    with open(log_path, "w") as log:
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only after every input check
+    with open(out_dir / "train.log", "w") as log:
         for epoch in range(total):
             t0 = time.perf_counter()
             main_i = epoch - cfg.warmup_epochs

@@ -301,6 +301,7 @@ class TestTrainCommand:
                        "warmup_epochs=1\nmain_epochs=1\nbatch=4\n")
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "a")])
         assert rc == 2
+        assert not (tmp_path / "a").exists()
         assert "augment=false" in capsys.readouterr().err
         rc = main(["train", "--config", str(cfg), "--set", "augment=false",
                    "--out", str(tmp_path / "b")])
@@ -625,6 +626,43 @@ class TestEvalCommand:
             "--gt-dir", str(data_dir / "hr" / "test"), "--report", str(tmp_path / "r.csv"),
         ])
         assert rc == 2
+
+
+class TestExitTwoLeavesNoOutput:
+    """A command that fails validation writes nothing: output directories
+    appear only when their first file is written."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--scale", "3"), ("--patch", "0"), ("--stride", "0"),
+        ("--noise-sigma", "-1"), ("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
+    ])
+    def test_prepare(self, raw_manifest, tmp_path, flag, value):
+        opts = {"--scale": "2", "--patch": "16", "--stride": "16", flag: value}
+        rc = main(["prepare", "--manifest", str(raw_manifest),
+                   *[w for kv in opts.items() for w in kv], "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_sr_with_zero_samples(self, run_dir, data_dir, tmp_path):
+        src = next(iter(sorted((data_dir / "lr" / "test").glob("*.hsc"))))
+        rc = main([
+            "sr", "--checkpoint", str(run_dir / "checkpoint.pdec"),
+            "--input", str(src), "--n-samples", "0",
+            "--out", str(tmp_path / "o" / "p.hsc"), "--save-samples", str(tmp_path / "s"),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
+    def test_eval_baseline_without_lr_cubes(self, data_dir, tmp_path):
+        (tmp_path / "no_lr").mkdir()
+        rc = main([
+            "eval", "--pred-dir", str(data_dir / "hr" / "test"),
+            "--gt-dir", str(data_dir / "hr" / "test"), "--report", str(tmp_path / "r.csv"),
+            "--baseline-bicubic", str(tmp_path / "no_lr"),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "r.csv").exists()
+        assert not (tmp_path / "r_bicubic.csv").exists()
 
 
 def test_module_entry_point():

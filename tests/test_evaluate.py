@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import affine_net
 from oracles import mpsnr_loop, mssim_loop, sam_loop, uncertainty_loop
 
-from hssr import tensor
+from hssr import model, tensor
 from hssr.errors import DimensionError, ParameterError
 from hssr.evaluate import (
     MetricsReport,
@@ -179,6 +179,33 @@ class TestMcMean:
             finally:
                 tracemalloc.stop()
         assert peaks[2] - peaks[1] < hr_cube / 2, (peaks, hr_cube)
+
+    def test_sample_loop_holds_no_hr_cube(self, rng, monkeypatch):
+        # the output base is made after the LR sample loop, so what is alive
+        # when a sample's stage starts is the LR state (x, degrade(base), the
+        # feature sums, the chain kernels: under half an HR cube here), not
+        # also the 8x128x128 output cube
+        cube = _cube(rng, b=8, h=32, w=32)
+        hr_cube = 4 * 8 * 128 * 128
+        net = build_net(NetConfig(bands=8, scale=4, stages=2, units_per_stage=1, channels=4),
+                        np.random.default_rng(0))
+        mc_mean(net, cube, n=2, seed=0)  # warm up lazily built state
+        held = []
+        features = model.stage_features
+
+        def traced(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return features(*args, **kwargs)
+
+        monkeypatch.setattr(model, "stage_features", traced)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            mc_mean(net, cube, n=2, seed=0)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 4
+        assert max(held) < hr_cube, (held, hr_cube)
 
     def test_argument_validation(self, rng):
         net = small_net()

@@ -16,6 +16,7 @@ from hssr.errors import FormatError, ParameterError
 from hssr.hsdata import (
     DatasetManifest,
     HSCube,
+    atomic_write,
     augment,
     extract_patches,
     lr_counterpart,
@@ -50,6 +51,14 @@ class TestCubeFormat:
         with pytest.raises(OSError, match="rename failed"):
             write_cube(HSCube(np.zeros((2, 4, 4), np.float32)), tmp_path / "z.hsc")
         assert list(tmp_path.iterdir()) == []
+
+    def test_atomic_write_makes_missing_parent_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "c.bin"
+        atomic_write(path, [b"he", b"llo"])
+        assert path.read_bytes() == b"hello"
+        assert list(path.parent.iterdir()) == [path]  # no temp file left beside it
+        atomic_write(path, [b"again"])  # the directories now exist
+        assert path.read_bytes() == b"again"
 
     def test_random_round_trip_bit_exact(self, tmp_path, rng):
         vals = rng.random((31, 64, 64), dtype=np.float32)
@@ -351,6 +360,13 @@ class TestMakeLR:
             make_lr(HSCube(rng.random((1, 16, 16), dtype=np.float32)), 4, -0.1)
         with pytest.raises(ParameterError):
             make_lr(HSCube(rng.random((1, 16, 16), dtype=np.float32)), 4, 0.1)  # no rng
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_sigma_rejected(self, rng, sigma):
+        # nan would add no noise and inf would saturate every value to 0 or 1
+        with pytest.raises(ParameterError, match="finite"):
+            make_lr(HSCube(rng.random((1, 16, 16), dtype=np.float32)), 4, sigma,
+                    np.random.default_rng(0))
 
 
 class TestSyntheticCubes:
