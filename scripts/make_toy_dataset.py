@@ -33,7 +33,6 @@ def main() -> int:
         ap.error("--test must be in [0, --cubes)")
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     man = DatasetManifest()
     n_train = args.cubes - args.test

@@ -42,9 +42,6 @@ def main() -> int:
     cubes = [random_smooth_cube(31, 64, 64, rng, name=f"cube{i}") for i in range(8)]
     noise_rng = np.random.default_rng(np.random.SeedSequence(7))
     man = DatasetManifest(scale=args.scale, patch=32, stride=16, seed=0)
-    if not (root / "hr/train").exists():
-        (root / "hr/train").mkdir(parents=True)
-        (root / "lr/train").mkdir(parents=True)
     for cube in cubes[:6]:
         for patch in extract_patches(cube, 32, 16):
             write_cube(patch, root / "hr/train" / f"{patch.name}.hsc")

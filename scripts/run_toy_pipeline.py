@@ -35,7 +35,6 @@ def main() -> int:
 
     out = Path(args.out)
     raw = out / "raw"
-    raw.mkdir(parents=True, exist_ok=True)
 
     # 6 train cubes are patched by `prepare`; 2 test cubes are degraded whole
     rng = np.random.default_rng(np.random.SeedSequence(20240819))
@@ -47,8 +46,6 @@ def main() -> int:
     write_manifest(man, raw / "manifest.txt")
 
     noise_rng = np.random.default_rng(np.random.SeedSequence(7))
-    (out / "test_hr").mkdir(exist_ok=True)
-    (out / "test_lr").mkdir(exist_ok=True)
     for cube in cubes[6:]:
         write_cube(cube, out / "test_hr" / f"{cube.name}.hsc")
         write_cube(make_lr(cube, args.scale, args.noise_sigma, noise_rng),

@@ -199,10 +199,10 @@ def cmd_uncertainty(args) -> int:
         mean, samples = mc_infer(net, cube, args.n_samples, args.seed)
         umap = uncertainty(samples, mean)
         del mean, samples  # the N-sample stack is not alive while the map is written
-        # HSC1 stores [0,1]; percentages are scaled down by 100, a band at a time
+        # HSC1 stores [0,1]: the fraction of disagreeing samples, a band at a time
         frac = np.empty(umap.counts.shape, dtype=np.float32)
         for b in range(frac.shape[0]):
-            frac[b] = umap.percent(b) / 100.0
+            frac[b] = umap.counts[b] / umap.n_samples
         del umap
         write_cube(HSCube(frac, name=f.stem), target)
         del frac

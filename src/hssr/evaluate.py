@@ -11,8 +11,8 @@ export: it refines one sample at a time in its slot of the output stack, so
 memory grows with N only by the N output cubes. Both add each stage's HR
 half into their output in bands of rows (`model.finish_stage`), so beyond
 the output cubes the HR side holds a few band-sized buffers, not whole
-cubes. `uncertainty` keeps its map as per-pixel hit counts, one byte each
-for N < 256.
+cubes. `uncertainty` compares integer 1/255 bins and keeps its map as
+per-pixel hit counts, one byte each for N < 256.
 
 All metrics are computed in float64, one band at a time, so their
 temporaries are band-sized; MSSIM filters its five moment maps (x, y, x^2,
@@ -53,20 +53,17 @@ _SSIM_SIGMA = 1.5
 
 @dataclass
 class UncertaintyMap:
-    """Per-pixel counts of samples that disagree with the mean."""
+    """Per-pixel counts of samples that disagree with the mean; `hssr
+    uncertainty` writes counts / n_samples."""
 
     counts: np.ndarray  # [B, H, W] in 0..n_samples, dtype np.min_scalar_type(n_samples)
     n_samples: int
 
-    def percent(self, index=...) -> np.ndarray:
-        """float64 disagreement percentages of counts[index], each a
-        multiple of 100/N."""
-        return 100.0 * self.counts[index] / self.n_samples
-
     @property
     def values(self) -> np.ndarray:
-        """The whole map as percentages, [B, H, W] in [0, 100]."""
-        return self.percent()
+        """The whole map as float64 percentages, [B, H, W] in [0, 100],
+        each a multiple of 100/N."""
+        return 100.0 * self.counts / self.n_samples
 
 
 @dataclass
@@ -147,18 +144,22 @@ def mc_infer(net: SRNet, cube, n: int, seed):
 
 
 def _bins(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """round(plane * 255) / 255 in float64, written into `out`."""
+    """round(plane * 255) in float64, written into `out`."""
     out[...] = plane
     out *= 255.0
-    np.round(out, out=out)
-    out /= 255.0
-    return out
+    return np.round(out, out=out)
 
 
 def uncertainty(samples: list, mean) -> UncertaintyMap:
     """Per pixel, how many samples have a 1/255-discretized value that
     disagrees with the discretized mean; a NaN or infinite sample value
     always disagrees. Consumes no ground truth.
+
+    Bins are compared as the integers round(v * 255): for a mean in [0, 1],
+    as `mc_infer` returns it, they are equal exactly when the bins i/255 are.
+    Only a direct caller can pass a mean outside [0, 1]; where it and a
+    sample both exceed about 3.5e13, unequal integers can count a
+    disagreement that comparing their float64 quotients by 255 would miss.
 
     Works one band at a time in float64, so its temporaries are band-sized."""
     if len(samples) < 2:

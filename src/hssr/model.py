@@ -310,11 +310,13 @@ def finish_stage(stage: StageNet, f: np.ndarray, alpha: int, y: np.ndarray) -> N
     The head and the tail run as valid convs over exactly the row blocks
     that `conv2d` runs them in on the whole cube (`conv_block_rows`, sized
     by its byte budget), so every matmul and every bit is the same as in
-    `stage_upsample`. f is zero-padded once; each head block is shuffled
-    into a tail input whose side columns stay zero, and a tail block runs as
-    soon as the head has made its rows. The rows a tail block shares with
-    the next (the tail's halo) stay in the buffer, so no head row is made
-    twice, and the buffer holds about one head block and one tail block.
+    `stage_upsample`. f is zero-padded once; the tail input buffer's side
+    columns stay zero. One loop walks the tail blocks, keeping buffer rows
+    top..end-1 the next tail block's input, from its first row. Only when
+    fewer than its t + kt - 1 rows are on hand do they move to the top, and
+    head blocks are shuffled in below them (zeros below the cube); so a move
+    is never longer than a tail block's input. No head row is made twice,
+    and the buffer holds a tail block's input and a head block.
     """
     head = ConvLayer(stage.head.kernel, stage.head.bias)  # valid convs: padding is done here
     tail = ConvLayer(stage.tail.kernel, stage.tail.bias)
@@ -325,27 +327,21 @@ def finish_stage(stage: StageNet, f: np.ndarray, alpha: int, y: np.ndarray) -> N
     hrows = conv_block_rows(c, h, w, kh, kh, 1, ph, f.itemsize)
     trows = conv_block_rows(b, alpha * h, alpha * w, kt, kt, 1, pt, f.itemsize)
     fp = np.pad(f, ((0, 0), (0, 0), (ph, ph), (ph, ph)))
-    # tail input rows: a tail block and its halo, then a head block, then the
-    # pt zero rows below the cube
-    buf = np.zeros((n, b, trows + kt - 1 + alpha * hrows + pt, alpha * w + 2 * pt), dtype=f.dtype)
-    lo, hi = -pt, 0  # buf holds tail input rows lo..hi-1; those above the cube are zero
-    todo = ((t0, min(trows, alpha * h - t0)) for t0 in range(0, alpha * h, trows))
-    t0, t = next(todo)
-    for s0 in range(0, h, hrows):
-        s = min(hrows, h - s0)
-        pixel_shuffle(head.apply(Tensor(fp[:, :, s0:s0 + s + kh - 1])), alpha,
-                      out=buf[:, :, hi - lo:hi - lo + alpha * s, pt:pt + alpha * w])
-        hi += alpha * s
-        if s0 + s == h:
-            buf[:, :, hi - lo:hi - lo + pt] = 0
-            hi += pt
-        while t and t0 + t + kt - 1 - pt <= hi:  # the head has made every row it reads
-            rows = buf[:, :, t0 - pt - lo:t0 - pt - lo + t + kt - 1]
-            y[:, :, t0:t0 + t] += tail.apply(Tensor(rows)).data
-            t0, t = next(todo, (0, 0))
-        if t:  # keep the next tail block's rows on hand, at the top of buf
-            buf[:, :, :hi - t0 + pt] = buf[:, :, t0 - pt - lo:hi - lo]
-            lo = t0 - pt
+    buf = np.zeros((n, b, trows + kt - 1 + alpha * hrows, alpha * w + 2 * pt), dtype=f.dtype)
+    top, end, s0 = 0, pt, 0  # the first tail block's input starts with pt zero rows above the cube
+    for t0 in range(0, alpha * h, trows):
+        t = min(trows, alpha * h - t0)
+        if end - top < t + kt - 1:  # too few rows on hand: move them to the top of buf
+            buf[:, :, :end - top] = buf[:, :, top:end]
+            top, end = 0, end - top
+        while end < t + kt - 1 and s0 < h:
+            s = min(hrows, h - s0)
+            pixel_shuffle(head.apply(Tensor(fp[:, :, s0:s0 + s + kh - 1])), alpha,
+                          out=buf[:, :, end:end + alpha * s, pt:pt + alpha * w])
+            end, s0 = end + alpha * s, s0 + s
+        buf[:, :, end:top + t + kt - 1] = 0  # rows below the cube
+        y[:, :, t0:t0 + t] += tail.apply(Tensor(buf[:, :, top:top + t + kt - 1])).data
+        top, end = top + t, max(end, top + t + kt - 1)
 
 
 def degrade(net: SRNet, hr: Tensor, graph: Graph = None) -> Tensor:
@@ -460,8 +456,8 @@ def _axis_classes(n: int, alpha: int, deg: ConvLayer, stage: StageNet):
     hr = alpha * np.arange(n)[:, None]
     m = (0 <= hr + du) & (hr + du < alpha * n)  # [n, kd]
     ok = np.repeat(m, kt, axis=1) & (0 <= hr + u) & (hr + u < alpha * n)  # [n, kd*kt]
-    key = np.concatenate([m, ok], axis=1)
-    starts = np.flatnonzero(np.r_[True, (key[1:] != key[:-1]).any(axis=1)]).tolist()
+    # ok[:, d*kt + pt] == m[:, d] (the centre tail tap), so ok alone keys the classes
+    starts = np.flatnonzero(np.r_[True, (ok[1:] != ok[:-1]).any(axis=1)]).tolist()
     classes = []
     for i, j in zip(starts, starts[1:] + [n]):
         route = hit & ok[i, :, None]
@@ -471,7 +467,7 @@ def _axis_classes(n: int, alpha: int, deg: ConvLayer, stage: StageNet):
     return q0, classes
 
 
-def chain_kernels(net: SRNet, stage: StageNet, h: int, w: int):
+def chain_kernels(net: SRNet, stage: StageNet, h: int, w: int, dtype=np.float64):
     """degrade_lin(stage_upsample(f)) on an h x w LR grid as class convs.
 
     Returns (radius, classes): each class is (rows, cols, (oy, ox), kernel,
@@ -481,7 +477,8 @@ def chain_kernels(net: SRNet, stage: StageNet, h: int, w: int):
     offsets the class's chain reads, so its extents may be even; `radius` is
     the zero extension of f that every class's window fits in. The degrade
     bias is left out: it is part of degrade(base). Kernel and const [B] are
-    float64, composed straight from the head, tail and degrade weights.
+    composed in float64 straight from the head, tail and degrade weights,
+    then cast to `dtype`.
     """
     a = net.cfg.scale
     deg = net.degrade_layer
@@ -515,7 +512,8 @@ def chain_kernels(net: SRNet, stage: StageNet, h: int, w: int):
             oy, ox = q0 + qys[0] - ph, q0 + qxs[0] - ph
             ky, kx = kernel.shape[2:]
             radius = max(radius, -oy, -ox, oy + ky - 1, ox + kx - 1)
-            classes.append((ys, xs, (oy, ox), kernel, const))
+            classes.append((ys, xs, (oy, ox), kernel.astype(dtype, copy=False),
+                            const.astype(dtype, copy=False)))
     return radius, classes
 
 
@@ -535,15 +533,9 @@ def _chain_apply(radius: int, classes: list, f: np.ndarray) -> np.ndarray:
 
 
 def chain_plan(net: SRNet, h: int, w: int, dtype=np.float32) -> list:
-    """`chain_kernels` of every stage but the last on an h x w LR grid, with
-    kernels and constants cast to `dtype`: what `mean_estimate` needs for
-    every cube of that extent."""
-    plan = []
-    for stage in net.stages[:-1]:
-        radius, classes = chain_kernels(net, stage, h, w)
-        plan.append((radius, [(ys, xs, o, k.astype(dtype), e.astype(dtype))
-                              for ys, xs, o, k, e in classes]))
-    return plan
+    """`chain_kernels` of every stage but the last on an h x w LR grid, in
+    `dtype`: what `mean_estimate` needs for every cube of that extent."""
+    return [chain_kernels(net, stage, h, w, dtype) for stage in net.stages[:-1]]
 
 
 def mean_estimate(net: SRNet, x, rngs, chains: list = None) -> Tensor:

@@ -268,6 +268,29 @@ class TestUncertainty:
         umap = uncertainty(samples, mean)
         np.testing.assert_array_equal(umap.values, uncertainty_loop(samples, mean))
 
+    def test_matches_loop_oracle_at_bin_edges_and_non_finite_values(self):
+        # exact midpoints between bins and one ulp either side of them, values
+        # outside [0, 1], NaN and +-inf; the mean is clamped, as mc_infer's is
+        k = np.arange(256.0)
+        mids = np.concatenate([(k - 0.5) / 255.0, (k + 0.5) / 255.0])
+        odd = [-1.0, -0.5 / 255.0, 1.0 + 0.5 / 255.0, 1.5, 300.0, np.nan, np.inf, -np.inf]
+        v = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf), odd])
+        v = v.reshape(1, 2, -1)
+        mean = np.nan_to_num(np.clip(v, 0.0, 1.0), nan=0.5)
+        samples = [v, np.roll(v, 1), np.roll(v, -1), v.astype(np.float32)]
+        umap = uncertainty(samples, mean)
+        want = uncertainty_loop(samples, mean)
+        np.testing.assert_array_equal(umap.values, want)
+        assert len(np.unique(want)) >= 3  # the samples agree at some pixels, not at others
+
+    def test_written_fraction_equals_percent_over_100(self):
+        # `hssr uncertainty` writes float32(counts / N); for every count of
+        # every N up to 4096 that is the float32 of the percentage over 100
+        for n in range(2, 4097):
+            c = np.arange(n + 1, dtype=np.min_scalar_type(n))
+            np.testing.assert_array_equal((c / n).astype(np.float32),
+                                          (100.0 * c / n / 100.0).astype(np.float32))
+
     @given(st.integers(2, 9), st.integers(0, 100))
     def test_values_are_multiples_of_quantum(self, n, seed):
         rng = np.random.default_rng(seed)

@@ -351,6 +351,36 @@ class TestFinishStage:
         assert 2 * band <= peak(32, 16) - short <= 3 * band, (short, peak(32, 16))
 
 
+def test_finisher_matches_the_whole_cube_under_every_block_plan():
+    # every pair of head and tail row-block plans a `_COLS_BYTES` budget can
+    # give, on every small extent: plans change only at the budgets where
+    # one more row fits a head or a tail block, so those budgets reach them all
+    plans = 0
+    for scale in (2, 4, 8):
+        net = affine_net(scale, seed=scale)
+        for h in range(1, 10):
+            for w in (1, 2, 5, 9):
+                rng = np.random.default_rng(h * 10 + w)
+                f = rng.standard_normal((1, 4, h, w)).astype(np.float32)
+                y0 = rng.uniform(0, 1, (1, 3, h * scale, w * scale)).astype(np.float32)
+                budgets = sorted({_budget(4, w, r) for r in range(1, h + 1)}
+                                 | {_budget(3, scale * w, r) for r in range(1, scale * h + 1)})
+                seen = set()
+                for cols_bytes in budgets:
+                    with mock.patch.object(tensor, "_COLS_BYTES", cols_bytes):
+                        plan = (conv_block_rows(4, h, w, 3, 3, 1, 1, 4),
+                                conv_block_rows(3, scale * h, scale * w, 3, 3, 1, 1, 4))
+                        if plan in seen:
+                            continue
+                        seen.add(plan)
+                        y = y0.copy()
+                        finish_stage(net.stages[0], f, scale, y)
+                        want = y0 + stage_upsample(net.stages[0], Tensor(f), scale).data
+                    assert np.array_equal(y, want), (scale, h, w, plan)
+                plans += len(seen)
+    assert plans > 1000
+
+
 class TestForward:
     def test_shapes_and_dtypes(self, rng):
         net = small_net(bands=3, scale=2)
