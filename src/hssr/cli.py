@@ -19,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError, TrainingError
-from .evaluate import evaluate_pairs, mc_infer, mc_mean, report_csv, report_text, uncertainty
+from .evaluate import evaluate_pairs, mc_infer, mc_mean, mc_uncertainty, report_csv, report_text
 from .hsdata import (
     DatasetManifest,
     HSCube,
@@ -195,10 +195,7 @@ def cmd_uncertainty(args) -> int:
         raise ParameterError(f"uncertainty needs --n-samples >= 2, got {args.n_samples}")
     net, jobs = _infer_inputs(args)
     for f, target in jobs:
-        cube = read_cube(f)
-        mean, samples = mc_infer(net, cube, args.n_samples, args.seed)
-        umap = uncertainty(samples, mean)
-        del mean, samples  # the N-sample stack is not alive while the map is written
+        umap = mc_uncertainty(net, read_cube(f), args.n_samples, args.seed)
         # HSC1 stores [0,1]: the fraction of disagreeing samples, a band at a time
         frac = np.empty(umap.counts.shape, dtype=np.float32)
         for b in range(frac.shape[0]):

@@ -6,13 +6,15 @@ the clamped mean: each sample runs the gated LR half of every stage, and the
 affine HR half (head, pixel shuffle, tail) runs once per stage on the mean
 features, so no HR sample is built and memory does not grow with N; its
 output cube is made after the samples, so the sample loop holds no HR cube.
-`mc_infer` also returns every sample, for uncertainty maps and sample
-export: it refines one sample at a time in its slot of the output stack, so
-memory grows with N only by the N output cubes. Both add each stage's HR
-half into their output in bands of rows (`model.finish_stage`), so beyond
-the output cubes the HR side holds a few band-sized buffers, not whole
-cubes. `uncertainty` compares integer 1/255 bins and keeps its map as
-per-pixel hit counts, one byte each for N < 256.
+`mc_infer` also returns every sample, for sample export: it refines one
+sample at a time in its slot of the output stack, so memory grows with N
+only by the N output cubes. Both add each stage's HR half into their output
+in bands of rows (`model.finish_stage`), so beyond the output cubes the HR
+side holds a few band-sized buffers, not whole cubes. `uncertainty`
+compares integer 1/255 bins and keeps its map as per-pixel hit counts, one
+byte each for N < 256. `mc_uncertainty` makes the same counts for
+`mc_infer`'s samples from a running float32 sum and one sample slot,
+keeping each earlier sample only as its bins, 1.125 bytes per value.
 
 All metrics are computed in float64, one band at a time, so their
 temporaries are band-sized; MSSIM filters its five moment maps (x, y, x^2,
@@ -37,6 +39,7 @@ __all__ = [
     "MetricsReport",
     "mc_mean",
     "mc_infer",
+    "mc_uncertainty",
     "uncertainty",
     "mpsnr",
     "mssim",
@@ -131,6 +134,7 @@ def mc_infer(net: SRNet, cube, n: int, seed):
     single-sample HR estimate on the i-th substream of SeedSequence(seed),
     so it does not depend on N; the samples are views into one float32
     [N,B,H,W] stack, and each is refined in its own slot of it.
+    `mc_uncertainty` counts their disagreement without holding them.
     """
     xb, name = _lr_input(cube, n, seed)
     _, b, h, w = xb.shape
@@ -148,6 +152,66 @@ def _bins(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
     out[...] = plane
     out *= 255.0
     return np.round(out, out=out)
+
+
+def _store_bins(v: np.ndarray) -> tuple:
+    """The bins round(v * 255) of a [B, H, W] sample in one byte plus one bit
+    per value: (uint8 bins, per band np.packbits of where the bin is NaN or
+    outside 0..255, which no clamped mean's bin can equal)."""
+    bins = np.empty(v.shape, dtype=np.uint8)
+    bits = np.empty((v.shape[0], (v[0].size + 7) // 8), dtype=np.uint8)
+    f = np.empty(v.shape[1:])
+    for c in range(v.shape[0]):
+        _bins(v[c], f)
+        odd = ~((f >= 0.0) & (f <= 255.0))  # NaN too
+        bits[c] = np.packbits(odd)
+        f[odd] = 0.0
+        bins[c] = f
+    return bins, bits
+
+
+def _stored_disagree(bins: np.ndarray, bits: np.ndarray, ref_bin: np.ndarray) -> np.ndarray:
+    """Where one band of a `_store_bins` sample disagrees with the mean's bins."""
+    odd = np.unpackbits(bits, count=ref_bin.size).reshape(ref_bin.shape)
+    return (bins != ref_bin) | odd.view(bool)
+
+
+def mc_uncertainty(net: SRNet, cube, n: int, seed) -> UncertaintyMap:
+    """`uncertainty(samples, mean)` of `mc_infer(net, cube, n, seed)`, with
+    the same counts, holding two float32 HR cubes instead of N + 1.
+
+    Sample 0 is refined into a running float32 sum and every later one into
+    one slot that is then added to it: the sums `np.mean` makes over the
+    stack, in its order. Just before a sample's float values are lost, its
+    bins are kept in one byte plus one bit per value (`_store_bins`). The
+    last sample is compared from its slot, after the sum has become the
+    clamped mean; the counts are made band by band, as in `uncertainty`.
+    """
+    if n < 2:
+        raise ParameterError(f"uncertainty needs >= 2 samples, got {n}")
+    xb, _ = _lr_input(cube, n, seed)
+    _, b, h, w = xb.shape
+    a = net.cfg.scale
+    rngs = _sample_rngs(n, seed)
+    acc = refine(net, xb, np.empty((1, b, h * a, w * a), dtype=np.float32), "sample", next(rngs))[0]
+    slot, stored = np.empty_like(acc), []
+    for i, rng in enumerate(rngs, start=1):
+        if i > 1:
+            stored.append(_store_bins(slot))  # sample i - 1, before sample i overwrites it
+        refine(net, xb, slot[None], "sample", rng)
+        if i == 1:
+            stored.append(_store_bins(acc))  # sample 0, before the sum takes in sample 1
+        acc += slot
+    acc /= n
+    np.clip(acc, 0.0, 1.0, out=acc)
+    counts = np.zeros(acc.shape, dtype=np.min_scalar_type(n))
+    ref_bin, last_bin = np.empty(acc.shape[1:]), np.empty(acc.shape[1:])
+    for c in range(b):
+        _bins(acc[c], ref_bin)
+        counts[c] += _bins(slot[c], last_bin) != ref_bin
+        for s, bits in stored:
+            counts[c] += _stored_disagree(s[c], bits[c], ref_bin)
+    return UncertaintyMap(counts, n_samples=n)
 
 
 def uncertainty(samples: list, mean) -> UncertaintyMap:

@@ -280,9 +280,10 @@ def aggregate(stage: StageNet, j: int, feats: list, mode: str, rng=None,
     if len(feats) != j:
         raise DimensionError(f"aggregation for unit {j} needs {j} features, got {len(feats)}")
     blk = stage.aggs[j - 1]
-    cat = feats[0] if j == 1 else concat_channels(feats)
-    mask = mask_for(blk.gate_k, mode, rng, graph)
-    return relu(blk.compress.apply(gate_channels(cat, mask), graph))
+    # off the tape the concatenation is a temporary, dead before compress runs
+    gated = gate_channels(feats[0] if j == 1 else concat_channels(feats),
+                          mask_for(blk.gate_k, mode, rng, graph))
+    return relu(blk.compress.apply(gated, graph))
 
 
 def stage_features(stage: StageNet, x: Tensor, mode: str, rng=None,
@@ -568,9 +569,11 @@ def mean_estimate(net: SRNet, x, rngs, chains: list = None) -> Tensor:
                 xhat = xhat + _chain_apply(*chains[t], f)
     if not count:
         raise ParameterError("need at least one generator")
+    means = [(s / count).astype(x.dtype) for s in fsum]
+    del fsum, f, xhat, inp  # only the float32 means outlive the sample loop
     base = bicubic_resize(x, h * a, w * a)
-    for stage, s in zip(net.stages, fsum):
-        finish_stage(stage, (s / count).astype(x.dtype), a, base.data)
+    for stage, m in zip(net.stages, means):
+        finish_stage(stage, m, a, base.data)
     return base
 
 

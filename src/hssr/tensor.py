@@ -423,7 +423,9 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
     rows. The backward gathers the same columns for the kernel gradient,
     multiplies the output gradient back into the buffer and adds each tap's
     rows into its slice of one zero-padded input gradient for the whole
-    batch. The block plan depends
+    batch. A 1x1 stride-1 unpadded conv builds no buffer: its matmuls read
+    the block's rows of x and write the input gradient's rows in place, the
+    same products in the same blocks. The block plan depends
     on the layer and output shapes only, never on the batch size, so a
     sample's result does not depend on its batch. The depthwise kernel
     gradient sums each tap over the outputs whose input is in bounds only.
@@ -485,21 +487,24 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
         rows = conv_block_rows(cin, h, w, kh, kw, stride, padding, xd.itemsize)
         sw = w + 2 * padding
         blocks = [(r0, min(rows, ho - r0)) for r0 in range(0, ho, rows)]
+        pointwise = ntap == 1 and stride == 1 and not padding  # the columns are x's own rows
 
-        def gather(b, r0, r, cols, sbuf):  # the columns of sample b's output rows r0..r0+r-1
+        def gather(b, r0, r, buf, sbuf):  # the [ntap*cin, r*wo] columns of sample b's rows r0..
+            if pointwise:
+                return xd[b, :, r0:r0 + r].reshape(cin, r * wo)
+            cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
             strip = _strip(xd[b], stride * r0 - padding, stride * (r - 1) + kh, padding, sbuf)
             for t in range(ntap):
                 cols[t] = tap(strip, t, r)
+            return cols.reshape(ntap * cin, r * wo)
 
         kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
         out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
-        buf = np.empty(ntap * cin * rows * wo, dtype=xd.dtype)
+        buf = None if pointwise else np.empty(ntap * cin * rows * wo, dtype=xd.dtype)
         sbuf = np.zeros((cin, stride * (rows - 1) + kh, sw), dtype=xd.dtype) if padding else None
         for r0, r in blocks:
-            cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
             for b in range(n):
-                gather(b, r0, r, cols, sbuf)
-                np.matmul(kmat, cols.reshape(ntap * cin, r * wo),
+                np.matmul(kmat, gather(b, r0, r, buf, sbuf),
                           out=out[b].reshape(cout, ho * wo)[:, r0 * wo:(r0 + r) * wo])
     out += bias.data.reshape(1, cout, 1, 1)
 
@@ -528,18 +533,18 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
             kmat = kd.transpose(0, 2, 3, 1).reshape(cout, ntap * cin)
             gkm = np.zeros((cout, ntap * cin), dtype=go.dtype) if need_k else None
             go3 = go.reshape(n, cout, ho * wo)
-            buf = np.empty(ntap * cin * rows * wo, dtype=go.dtype)
+            buf = None if pointwise else np.empty(ntap * cin * rows * wo, dtype=go.dtype)
             sbuf = np.zeros((cin, stride * (rows - 1) + kh, sw), dtype=xd.dtype) if padding else None
             for r0, r in blocks:
-                cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
-                cmat = cols.reshape(ntap * cin, r * wo)
                 for b in range(n):
                     go_blk = go3[b, :, r0 * wo:(r0 + r) * wo]
                     if need_k:
-                        gather(b, r0, r, cols, sbuf)
-                        gkm += go_blk @ cmat.T
-                    if need_x:
-                        np.matmul(kmat.T, go_blk, out=cmat)
+                        gkm += go_blk @ gather(b, r0, r, buf, sbuf).T
+                    if need_x and pointwise:
+                        np.matmul(kmat.T, go_blk, out=gxp[b, :, r0:r0 + r].reshape(cin, r * wo))
+                    elif need_x:
+                        cols = buf[:ntap * cin * r * wo].reshape(ntap, cin, r, wo)
+                        np.matmul(kmat.T, go_blk, out=cols.reshape(ntap * cin, r * wo))
                         for t in range(ntap):
                             view = tap(gxp[b], t, r, stride * r0)
                             view += cols[t]

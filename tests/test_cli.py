@@ -463,8 +463,9 @@ class TestInferenceCommands:
         np.testing.assert_allclose(counts, np.round(counts), atol=1e-5)
 
     def test_uncertainty_writes_with_only_the_map_alive(self, run_dir, tmp_path, monkeypatch):
-        # 32x32 LR, N=8: the 8-sample stack, the mean and the float64 map
-        # would add 10 output cubes (3x64x64 float32, 48 KiB each) at the write
+        # 32x32 LR, N=8: the stored sample bins, the float32 sum and slot and
+        # the float64 map would add several output cubes (3x64x64 float32,
+        # 48 KiB each) at the write
         src = tmp_path / "a.hsc"
         write_cube(random_smooth_cube(3, 32, 32, np.random.default_rng(4), name="a"), src)
         held = {}
@@ -475,7 +476,7 @@ class TestInferenceCommands:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(cli, "mc_infer", spy(cli.mc_infer, "infer"))
+        monkeypatch.setattr(cli, "mc_uncertainty", spy(cli.mc_uncertainty, "infer"))
         monkeypatch.setattr(cli, "write_cube", spy(cli.write_cube, "write"))
         gc.collect()
         tracemalloc.start()

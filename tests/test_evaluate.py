@@ -1,6 +1,7 @@
 """Monte-Carlo inference, uncertainty maps, metrics, and reports."""
 
 import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 from helpers import affine_net
 from oracles import mpsnr_loop, mssim_loop, sam_loop, uncertainty_loop
 
-from hssr import model, tensor
+from hssr import evaluate, model, tensor
 from hssr.errors import DimensionError, ParameterError
 from hssr.evaluate import (
     MetricsReport,
     evaluate_pairs,
     mc_infer,
     mc_mean,
+    mc_uncertainty,
     mpsnr,
     mssim,
     report_csv,
@@ -36,6 +38,19 @@ def small_net(seed=0):
 
 def _cube(rng, b=3, h=8, w=8, name="c"):
     return HSCube(rng.uniform(0.1, 0.9, (b, h, w)).astype(np.float32), name=name)
+
+
+def _bin_edge_samples():
+    """Samples [1, 2, 772] at exact midpoints between 1/255 bins and one ulp
+    either side of them, outside [0, 1], NaN and +-inf, and their mean
+    clamped as mc_infer's is."""
+    k = np.arange(256.0)
+    mids = np.concatenate([(k - 0.5) / 255.0, (k + 0.5) / 255.0])
+    odd = [-1.0, -0.5 / 255.0, 1.0 + 0.5 / 255.0, 1.5, 300.0, np.nan, np.inf, -np.inf]
+    v = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf), odd])
+    v = v.reshape(1, 2, -1)
+    mean = np.nan_to_num(np.clip(v, 0.0, 1.0), nan=0.5)
+    return [v, np.roll(v, 1), np.roll(v, -1), v.astype(np.float32)], mean
 
 
 class TestMcInfer:
@@ -217,10 +232,76 @@ class TestMcMean:
             mc_mean(net, _cube(rng, b=4), n=1, seed=0)
 
 
-@pytest.mark.parametrize("fn", [mc_mean, mc_infer], ids=["mc_mean", "mc_infer"])
+@pytest.mark.parametrize("fn", [mc_mean, mc_infer, mc_uncertainty],
+                         ids=["mc_mean", "mc_infer", "mc_uncertainty"])
 def test_negative_seed_is_parameter_error(rng, fn):
     with pytest.raises(ParameterError, match="seed must be >= 0"):
         fn(small_net(), _cube(rng), n=2, seed=-1)
+
+
+class TestMcUncertainty:
+    @pytest.mark.parametrize("n", [2, 3, 10, 255, 256])
+    def test_counts_equal_uncertainty_of_mc_infer(self, rng, n):
+        net = small_net()
+        cube = _cube(rng)
+        want = uncertainty(*reversed(mc_infer(net, cube, n, seed=3)))
+        got = mc_uncertainty(net, cube, n, seed=3)
+        assert got.n_samples == n and got.counts.dtype == want.counts.dtype
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert want.counts.any()
+
+    def test_stored_bins_disagree_as_uncertainty_does(self):
+        samples, mean = _bin_edge_samples()
+        ref_bin = evaluate._bins(mean[0], np.empty(mean.shape[1:]))
+        counts = np.zeros(mean.shape, dtype=np.uint8)
+        for bins, bits in map(evaluate._store_bins, samples):
+            counts[0] += evaluate._stored_disagree(bins[0], bits[0], ref_bin)
+        np.testing.assert_array_equal(counts, uncertainty(samples, mean).counts)
+
+    def test_odd_samples_count_as_in_uncertainty_of_mc_infer(self, monkeypatch):
+        # the same samples, each written by a stand-in for refine, so the mean
+        # itself is NaN or out of range at some pixels before it is clamped
+        samples, _ = _bin_edge_samples()
+        feed = itertools.cycle(samples)
+
+        def refine(net, x, y, mode, rng):
+            y[0] = next(feed)
+            return y
+
+        monkeypatch.setattr(evaluate, "refine", refine)
+        net = build_net(NetConfig(bands=1, scale=2, stages=1, units_per_stage=1, channels=4),
+                        np.random.default_rng(0))
+        cube = np.zeros((1, 1, 386), dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            want = uncertainty(*reversed(mc_infer(net, cube, 4, seed=0)))
+            got = mc_uncertainty(net, cube, 4, seed=0)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert len(np.unique(want.counts)) >= 3
+
+    def test_memory_grows_by_one_byte_and_one_bit_per_hr_value_and_sample(self, rng):
+        # two float32 HR cubes whatever N is; each sample but the last keeps
+        # 1.125 bytes per HR value, where mc_infer keeps its 4-byte float
+        net = small_net()
+        cube = _cube(rng, h=32, w=32)
+        mc_uncertainty(net, cube, n=2, seed=0)  # warm up lazily built state
+        peaks = {}
+        for n in (2, 10):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                mc_uncertainty(net, cube, n=n, seed=0)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        values, band = 3 * 64 * 64, 64 * 64 * 8
+        assert peaks[10] - peaks[2] <= (10 - 1) * 1.125 * values + band, peaks
+
+    def test_argument_validation(self, rng):
+        net = small_net()
+        with pytest.raises(ParameterError):
+            mc_uncertainty(net, _cube(rng), n=1, seed=0)
+        with pytest.raises(DimensionError):
+            mc_uncertainty(net, rng.uniform(size=(3, 8)), n=2, seed=0)
 
 
 class TestUncertainty:
@@ -269,15 +350,7 @@ class TestUncertainty:
         np.testing.assert_array_equal(umap.values, uncertainty_loop(samples, mean))
 
     def test_matches_loop_oracle_at_bin_edges_and_non_finite_values(self):
-        # exact midpoints between bins and one ulp either side of them, values
-        # outside [0, 1], NaN and +-inf; the mean is clamped, as mc_infer's is
-        k = np.arange(256.0)
-        mids = np.concatenate([(k - 0.5) / 255.0, (k + 0.5) / 255.0])
-        odd = [-1.0, -0.5 / 255.0, 1.0 + 0.5 / 255.0, 1.5, 300.0, np.nan, np.inf, -np.inf]
-        v = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf), odd])
-        v = v.reshape(1, 2, -1)
-        mean = np.nan_to_num(np.clip(v, 0.0, 1.0), nan=0.5)
-        samples = [v, np.roll(v, 1), np.roll(v, -1), v.astype(np.float32)]
+        samples, mean = _bin_edge_samples()
         umap = uncertainty(samples, mean)
         want = uncertainty_loop(samples, mean)
         np.testing.assert_array_equal(umap.values, want)

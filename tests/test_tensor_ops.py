@@ -165,6 +165,29 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak - out.data.nbytes <= tensor._COLS_BYTES
 
+    def test_pointwise_builds_no_column_buffer(self, rng):
+        # a 1x1 conv's matmuls read x's rows and write the input gradient's
+        # rows: beyond its results it allocates a few kernel-sized arrays
+        g = Graph()
+        x = g.leaf(rng.random((2, 96, 64, 64), dtype=np.float32))
+        k = g.leaf(rng.random((32, 96, 1, 1), dtype=np.float32))
+        b = g.leaf(np.zeros(32, np.float32))
+        grad_fn = g.nodes[conv2d(x, k, b).node_id].grad_fn
+        go = rng.random((2, 32, 64, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, k, b)
+            fwd = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            gx, gk, _ = grad_fn(go)
+            bwd = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert fwd - out.data.nbytes <= 4 * k.data.nbytes, fwd
+        assert bwd - gx.nbytes - gk.nbytes <= 4 * k.data.nbytes, bwd
+
     def test_dense_backward_fits_two_buffers(self, rng):
         # at the train tail shape the dense backward allocates, beyond its
         # input and kernel gradients, at most two _COLS_BYTES buffers
@@ -225,17 +248,18 @@ class TestConv2d:
         # order, in the same row blocks as the clipped-tap column buffer
         if cols_bytes:
             monkeypatch.setattr(tensor, "_COLS_BYTES", cols_bytes)
-        rows = _spy_strips(monkeypatch, kk, stride)
+        rows = _spy_strips(monkeypatch, kk, stride)  # none at 1x1, whose matmuls read x's rows
         x = rng.uniform(-1, 1, (n, cin, size, size)).astype(np.float32)
         k = rng.uniform(-1, 1, (cout, cin, kk, kk)).astype(np.float32)
         b = rng.uniform(-1, 1, cout).astype(np.float32)
         g = Graph()
         out = conv2d(g.leaf(x), g.leaf(k), g.leaf(b), stride=stride, padding=padding)
-        plan = sorted(set(rows))
-        assert cols_bytes is None or len(rows) > n  # several blocks
+        block = tensor.conv_block_rows(cin, size, size, kk, kk, stride, padding, x.itemsize)
+        assert kk == 1 or max(rows) == block
+        assert cols_bytes is None or block < out.shape[2]  # several blocks
         go = rng.uniform(-1, 1, out.shape).astype(np.float32)
         got = (out.data,) + tuple(g.nodes[out.node_id].grad_fn(go))
-        ref = dense_clipped_taps(x, k, b, go, stride, padding, rows=plan[-1])
+        ref = dense_clipped_taps(x, k, b, go, stride, padding, rows=block)
         for a, r in zip(got, ref):
             assert a.dtype == r.dtype
             np.testing.assert_array_equal(a, r)
