@@ -3,10 +3,13 @@
 The engine is deliberately small: a tape (`Graph`) records every operation
 that touches a grad-enabled tensor, and `backward` replays the tape in
 reverse append order, accumulating gradients additively for nodes with
-multiple consumers. Only the operations the super-resolution network needs
-are provided, and there is no GPU path. Elementwise ops take operands of
-equal shape; `gate_channels`, which scales each channel of a feature map by
-one entry of a gate's mask, is the only per-channel op.
+multiple consumers. The sweep consumes the tape: it releases each node it
+visits before running it, so the forward arrays only that node held are
+freed once its input gradients are out, and a graph can be backpropagated
+once. Only the operations the super-resolution network needs are provided,
+and there is no GPU path. Elementwise ops take operands of equal shape;
+`gate_channels`, which scales each channel of a feature map by one entry of
+a gate's mask, is the only per-channel op.
 
 Tensors are plain numpy arrays underneath. float32 is the working precision;
 float64 is supported throughout so gradients can be checked against central
@@ -118,7 +121,7 @@ class Graph:
     """
 
     def __init__(self):
-        self.nodes: list[_Node] = []
+        self.nodes: list[Optional[_Node]] = []  # None once backward has run it
         # id(param) -> node id. Node ids, not Tensors: a cached Tensor would
         # point back at this graph, and that cycle would leave every dead
         # tape (and the arrays its closures hold) to the cyclic collector.
@@ -159,7 +162,10 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
 
     Every node is visited at most once, in reverse append order; a node's
     gradient is complete before its own grad_fn runs because all consumers
-    appear later on the tape.
+    appear later on the tape. Each visited node's slot in `graph.nodes` is
+    set to None before its grad_fn runs, so the sweep frees the tape as it
+    goes and the list keeps its length. A graph is therefore backpropagated
+    once: reaching a released node raises ParameterError.
     """
     if loss.graph is None:
         raise ParameterError("backward target is detached from any graph")
@@ -172,7 +178,10 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
         gout = grads.pop(nid, None)
         if gout is None:
             continue
-        node = g.nodes[nid]
+        node, g.nodes[nid] = g.nodes[nid], None
+        if node is None:
+            raise ParameterError(f"graph was already backpropagated: an earlier backward "
+                                 f"released node {nid}")
         if node.grad_fn is None:
             leaf_grads[nid] = gout
             continue

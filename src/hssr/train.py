@@ -264,7 +264,9 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir, b
                 grads = [node_grads.get(graph.leaf_id(p)) for p in params]
                 adam_step(state, params, grads, lr)
                 epoch_losses.append(lval)
-                # free this step's tape now, not when the next forward returns
+                # backward has already released the tape's closures and the
+                # forward arrays they held; this frees the loss tensors and the
+                # gradients now, not when the next forward returns
                 del graph, y_hat, x_hat, step_loss, node_grads, grads
             secs = time.perf_counter() - t0
             mean_loss = float(np.mean(epoch_losses))

@@ -529,6 +529,39 @@ class TestGraphAndBackward:
         grads = backward(mean_all(add(a, b)))
         np.testing.assert_array_equal(grads[a.node_id], np.full(3, 2 / 3))
 
+    def test_backward_releases_the_nodes_it_runs(self, rng):
+        # the list keeps its length (tape-node counts read it afterwards);
+        # every node the sweep reached is released, a branch it never
+        # reached is kept
+        g = Graph()
+        x = g.leaf(rng.random(4))
+        y = g.leaf(rng.random(4))
+        r = relu(x)
+        off = sigmoid(y)  # not on the loss's path
+        m = mul(x, r)
+        s = mean_all(m)
+        n = len(g.nodes)
+        backward(s)
+        assert len(g.nodes) == n
+        assert all(g.nodes[t.node_id] is None for t in (x, r, m, s))
+        assert g.nodes[y.node_id] is not None and g.nodes[off.node_id] is not None
+
+    def test_backward_twice_is_rejected(self, rng):
+        g = Graph()
+        x = g.leaf(rng.random(3))
+        s = mean_all(mul(x, x))
+        backward(s)
+        with pytest.raises(ParameterError, match="already backpropagated"):
+            backward(s)
+
+    def test_new_loss_on_a_consumed_graph_is_rejected(self, rng):
+        g = Graph()
+        x = g.leaf(rng.random(3))
+        h = relu(x)
+        backward(mean_all(h))
+        with pytest.raises(ParameterError, match="already backpropagated"):
+            backward(mean_all(scale(h, 2.0)))
+
     def test_backward_requires_scalar(self, rng):
         g = Graph()
         x = g.leaf(rng.random((2, 2)))
