@@ -19,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError, TrainingError
-from .evaluate import evaluate_pairs, mc_infer, mc_mean, mc_uncertainty, report_csv, report_text
+from .evaluate import evaluate_pairs, mc_mean, mc_samples, mc_uncertainty, report_csv, report_text
 from .hsdata import (
     DatasetManifest,
     HSCube,
@@ -180,12 +180,9 @@ def cmd_sr(args) -> int:
             chains[extents] = chain_plan(net, *extents)
         write_cube(mc_mean(net, cube, args.n_samples, args.seed, chains[extents]), target)
         if args.save_samples:
-            _, samples = mc_infer(net, cube, args.n_samples, args.seed)
-            for i, s in enumerate(samples):
+            for s in mc_samples(net, cube, args.n_samples, args.seed):
                 np.clip(s.values, 0.0, 1.0, out=s.values)
-                write_cube(s, Path(args.save_samples) / f"{f.stem}_s{i}.hsc")
-            # drop this cube's N-sample stack before the next mc_infer allocates its own
-            del samples
+                write_cube(s, Path(args.save_samples) / f"{s.name}.hsc")
     print(f"super-resolved {len(jobs)} cube(s) -> {args.out}")
     return 0
 

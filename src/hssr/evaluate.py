@@ -6,15 +6,17 @@ the clamped mean: each sample runs the gated LR half of every stage, and the
 affine HR half (head, pixel shuffle, tail) runs once per stage on the mean
 features, so no HR sample is built and memory does not grow with N; its
 output cube is made after the samples, so the sample loop holds no HR cube.
-`mc_infer` also returns every sample, for sample export: it refines one
-sample at a time in its slot of the output stack, so memory grows with N
-only by the N output cubes. Both add each stage's HR half into their output
-in bands of rows (`model.finish_stage`), so beyond the output cubes the HR
-side holds a few band-sized buffers, not whole cubes. `uncertainty`
-compares integer 1/255 bins and keeps its map as per-pixel hit counts, one
-byte each for N < 256. `mc_uncertainty` makes the same counts for
-`mc_infer`'s samples from a running float32 sum and one sample slot,
-keeping each earlier sample only as its bins, 1.125 bytes per value.
+`mc_samples` is the one loop that builds HR samples one at a time: it
+refines sample i into one reused float32 slot and yields it, so a consumer
+holds one sample whatever N is. `hssr sr --save-samples` writes each
+sample as it comes, and `mc_uncertainty` counts the samples' disagreement
+with their clamped mean from a running float32 sum, keeping each earlier
+sample only as its 1/255 bins, 1.125 bytes per value. `mc_infer` returns
+the mean and every sample, refined in their slots of one [N, B, H, W]
+stack, so it grows with N by the N output cubes. All of them add each
+stage's HR half into their output in bands of rows (`model.finish_stage`),
+so beyond the output cubes the HR side holds a few band-sized buffers, not
+whole cubes.
 
 All metrics are computed in float64, one band at a time, so their
 temporaries are band-sized; MSSIM filters its five moment maps (x, y, x^2,
@@ -39,8 +41,8 @@ __all__ = [
     "MetricsReport",
     "mc_mean",
     "mc_infer",
+    "mc_samples",
     "mc_uncertainty",
-    "uncertainty",
     "mpsnr",
     "mssim",
     "sam",
@@ -130,11 +132,9 @@ def mc_mean(net: SRNet, cube, n: int, seed, chains: list = None) -> HSCube:
 def mc_infer(net: SRNet, cube, n: int, seed):
     """N stochastic reconstructions and their clamped mean.
 
-    Returns (mean HSCube, list of N sample HSCubes). Sample i is one
-    single-sample HR estimate on the i-th substream of SeedSequence(seed),
-    so it does not depend on N; the samples are views into one float32
-    [N,B,H,W] stack, and each is refined in its own slot of it.
-    `mc_uncertainty` counts their disagreement without holding them.
+    Returns (mean HSCube, list of N sample HSCubes): `mc_samples`' samples,
+    each refined in its own slot of one float32 [N,B,H,W] stack and kept
+    there as a view.
     """
     xb, name = _lr_input(cube, n, seed)
     _, b, h, w = xb.shape
@@ -145,6 +145,23 @@ def mc_infer(net: SRNet, cube, n: int, seed):
     mean = np.mean(stack, axis=0)
     samples = [HSCube(stack[i], name=f"{name}_s{i}") for i in range(n)]
     return HSCube(np.clip(mean, 0.0, 1.0, out=mean), name=name), samples
+
+
+def mc_samples(net: SRNet, cube, n: int, seed):
+    """The N stochastic reconstructions, one at a time.
+
+    Sample i is one single-sample HR estimate on the i-th substream of
+    SeedSequence(seed), so it does not depend on N. It is refined into one
+    reused float32 slot and yielded as an HSCube view of it named
+    `<cube>_s<i>`, valid until the next draw. The arguments are checked at
+    the first draw.
+    """
+    xb, name = _lr_input(cube, n, seed)
+    _, b, h, w = xb.shape
+    a = net.cfg.scale
+    slot = np.empty((1, b, h * a, w * a), dtype=np.float32)
+    for i, rng in enumerate(_sample_rngs(n, seed)):
+        yield HSCube(refine(net, xb, slot, "sample", rng)[0], name=f"{name}_s{i}")
 
 
 def _bins(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -177,69 +194,37 @@ def _stored_disagree(bins: np.ndarray, bits: np.ndarray, ref_bin: np.ndarray) ->
 
 
 def mc_uncertainty(net: SRNet, cube, n: int, seed) -> UncertaintyMap:
-    """`uncertainty(samples, mean)` of `mc_infer(net, cube, n, seed)`, with
-    the same counts, holding two float32 HR cubes instead of N + 1.
+    """Per pixel, how many of `mc_samples`' N samples have a 1/255 bin
+    round(v * 255) unequal to that of their clamped mean, as `mc_infer`
+    makes it; a NaN or infinite sample value always disagrees. Holds two
+    float32 HR cubes instead of N + 1.
 
-    Sample 0 is refined into a running float32 sum and every later one into
-    one slot that is then added to it: the sums `np.mean` makes over the
-    stack, in its order. Just before a sample's float values are lost, its
-    bins are kept in one byte plus one bit per value (`_store_bins`). The
-    last sample is compared from its slot, after the sum has become the
-    clamped mean; the counts are made band by band, as in `uncertainty`.
+    Sample 0 is copied into a running float32 sum and every later one added
+    to it: the sums `np.mean` makes over `mc_infer`'s stack, in its order.
+    Just before a sample's float values are lost, its bins are kept in one
+    byte plus one bit per value (`_store_bins`). The last sample is compared
+    from the stream's slot, after the sum has become the clamped mean; the
+    counts are made band by band.
     """
     if n < 2:
         raise ParameterError(f"uncertainty needs >= 2 samples, got {n}")
-    xb, _ = _lr_input(cube, n, seed)
-    _, b, h, w = xb.shape
-    a = net.cfg.scale
-    rngs = _sample_rngs(n, seed)
-    acc = refine(net, xb, np.empty((1, b, h * a, w * a), dtype=np.float32), "sample", next(rngs))[0]
-    slot, stored = np.empty_like(acc), []
-    for i, rng in enumerate(rngs, start=1):
-        if i > 1:
-            stored.append(_store_bins(slot))  # sample i - 1, before sample i overwrites it
-        refine(net, xb, slot[None], "sample", rng)
+    samples = mc_samples(net, cube, n, seed)
+    acc, stored = next(samples).values.copy(), []
+    for i, s in enumerate(samples, start=1):
         if i == 1:
             stored.append(_store_bins(acc))  # sample 0, before the sum takes in sample 1
-        acc += slot
+        acc += s.values
+        if i < n - 1:
+            stored.append(_store_bins(s.values))  # before the next draw overwrites it
     acc /= n
     np.clip(acc, 0.0, 1.0, out=acc)
     counts = np.zeros(acc.shape, dtype=np.min_scalar_type(n))
     ref_bin, last_bin = np.empty(acc.shape[1:]), np.empty(acc.shape[1:])
-    for c in range(b):
+    for c in range(acc.shape[0]):
         _bins(acc[c], ref_bin)
-        counts[c] += _bins(slot[c], last_bin) != ref_bin
-        for s, bits in stored:
-            counts[c] += _stored_disagree(s[c], bits[c], ref_bin)
-    return UncertaintyMap(counts, n_samples=n)
-
-
-def uncertainty(samples: list, mean) -> UncertaintyMap:
-    """Per pixel, how many samples have a 1/255-discretized value that
-    disagrees with the discretized mean; a NaN or infinite sample value
-    always disagrees. Consumes no ground truth.
-
-    Bins are compared as the integers round(v * 255): for a mean in [0, 1],
-    as `mc_infer` returns it, they are equal exactly when the bins i/255 are.
-    Only a direct caller can pass a mean outside [0, 1]; where it and a
-    sample both exceed about 3.5e13, unequal integers can count a
-    disagreement that comparing their float64 quotients by 255 would miss.
-
-    Works one band at a time in float64, so its temporaries are band-sized."""
-    if len(samples) < 2:
-        raise ParameterError(f"uncertainty needs >= 2 samples, got {len(samples)}")
-    ref = _values(mean)
-    vals = [_values(s) for s in samples]
-    for v in vals:
-        if v.shape != ref.shape:
-            raise DimensionError(f"sample shape {v.shape} != mean shape {ref.shape}")
-    n = len(samples)
-    counts = np.zeros(ref.shape, dtype=np.min_scalar_type(n))
-    ref_bin, bins = np.empty(ref.shape[1:]), np.empty(ref.shape[1:])
-    for b in range(ref.shape[0]):
-        _bins(ref[b], ref_bin)
-        for v in vals:
-            counts[b] += _bins(v[b], bins) != ref_bin
+        counts[c] += _bins(s.values[c], last_bin) != ref_bin
+        for bins, bits in stored:
+            counts[c] += _stored_disagree(bins[c], bits[c], ref_bin)
     return UncertaintyMap(counts, n_samples=n)
 
 

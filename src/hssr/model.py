@@ -63,7 +63,6 @@ __all__ = [
     "stage_upsample",
     "finish_stage",
     "degrade",
-    "estimate",
     "refine",
     "forward",
     "chain_kernels",
@@ -364,31 +363,10 @@ def _as_input(net: SRNet, x) -> Tensor:
     return x
 
 
-def estimate(net: SRNet, x, mode: str, rng=None, graph: Graph = None) -> Tensor:
-    """The HR reconstruction y_hat.
-
-    The first stage corrects bicubic upsampling; stage t >= 2 sees the
-    residual between the network input and degrade(previous estimate) and
-    adds its correction to the running estimate. Output is not clamped
-    here; clamping happens only at image export. With a graph, each stage's
-    correction is a whole taped cube; without one, see `refine`.
-    """
-    x = _as_input(net, x)
-    a = net.cfg.scale
-    n, b, h, w = x.shape
-    if graph is None:
-        return Tensor(refine(net, x, np.empty((n, b, h * a, w * a), dtype=x.dtype), mode, rng))
-    y = bicubic_resize(x.detach(), h * a, w * a)
-    for t, stage in enumerate(net.stages):
-        inp = x if t == 0 else sub(x, degrade(net, y, graph))
-        y = add(stage_upsample(stage, stage_features(stage, inp, mode, rng, graph), a, graph), y)
-    return y
-
-
 def refine(net: SRNet, x, y: np.ndarray, mode: str, rng=None) -> np.ndarray:
-    """`estimate` without a tape, written into y [N, B, alpha*h, alpha*w]:
-    y starts as the bicubic base, and each stage adds its correction into it
-    band by band (`finish_stage`). Returns y."""
+    """`forward`'s HR reconstruction without a tape, written into
+    y [N, B, alpha*h, alpha*w]: y starts as the bicubic base, and each stage
+    adds its correction into it band by band (`finish_stage`). Returns y."""
     x = _as_input(net, x)
     a = net.cfg.scale
     _, _, h, w = x.shape
@@ -402,10 +380,24 @@ def refine(net: SRNet, x, y: np.ndarray, mode: str, rng=None) -> np.ndarray:
 def forward(net: SRNet, x, mode: str, rng=None, graph: Graph = None):
     """Full multi-stage estimate.
 
-    Returns (y_hat, x_hat): `estimate`'s HR reconstruction and its
-    re-degraded LR image (the source-consistency side of the loss).
+    Returns (y_hat, x_hat): the HR reconstruction and its re-degraded LR
+    image (the source-consistency side of the loss). The first stage
+    corrects bicubic upsampling; stage t >= 2 sees the residual between the
+    network input and degrade(previous estimate) and adds its correction to
+    the running estimate. y_hat is not clamped here; clamping happens only
+    at image export. With a graph, each stage's correction is a whole taped
+    cube; without one, y_hat is made by `refine`.
     """
-    y = estimate(net, x, mode, rng, graph)
+    x = _as_input(net, x)
+    a = net.cfg.scale
+    n, b, h, w = x.shape
+    if graph is None:
+        y = Tensor(refine(net, x, np.empty((n, b, h * a, w * a), dtype=x.dtype), mode, rng))
+        return y, degrade(net, y)
+    y = bicubic_resize(x.detach(), h * a, w * a)
+    for t, stage in enumerate(net.stages):
+        inp = x if t == 0 else sub(x, degrade(net, y, graph))
+        y = add(stage_upsample(stage, stage_features(stage, inp, mode, rng, graph), a, graph), y)
     return y, degrade(net, y, graph)
 
 
@@ -540,9 +532,9 @@ def chain_plan(net: SRNet, h: int, w: int, dtype=np.float32) -> list:
 
 
 def mean_estimate(net: SRNet, x, rngs, chains: list = None) -> Tensor:
-    """Mean of estimate(net, x, "sample", rng) over `rngs`, with no HR sample.
+    """Mean over `rngs` of forward(net, x, "sample", rng)[0], with no HR sample.
 
-    Each generator draws its gates in `estimate`'s order, but a sample runs
+    Each generator draws its gates in `forward`'s order, but a sample runs
     only the gated LR halves of the stages; its next-stage input comes from
     degrade(base) plus the chain convs of its finished stages. The HR head
     and tail then run once per stage, on the stage's mean features, adding

@@ -268,16 +268,14 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir, b
                 # forward arrays they held; this frees the loss tensors and the
                 # gradients now, not when the next forward returns
                 del graph, y_hat, x_hat, step_loss, node_grads, grads
-            secs = time.perf_counter() - t0
-            mean_loss = float(np.mean(epoch_losses))
-            line = f"epoch={epoch} lr={lr:.8g} loss={mean_loss:.8g} secs={secs:.3f}"
+            record = {"epoch": epoch, "phase": mode, "lr": lr,
+                      "loss": float(np.mean(epoch_losses)), "secs": time.perf_counter() - t0}
+            line = "epoch={epoch} lr={lr:.8g} loss={loss:.8g} secs={secs:.3f}".format(**record)
             log.write(line + "\n")
             log.flush()
             if log_cb is not None:
                 log_cb(line)
-            history.append(
-                {"epoch": epoch, "phase": mode, "lr": lr, "loss": mean_loss, "secs": secs}
-            )
+            history.append(record)
             if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
                 save_checkpoint(net, out_dir / f"checkpoint_ep{epoch:04d}.pdec")
     save_checkpoint(net, out_dir / "checkpoint.pdec")

@@ -1,9 +1,10 @@
-"""Gradient-check machinery and test-only constructors shared by the op,
-gate and network tests."""
+"""Gradient-check machinery, test-only constructors and the reference
+uncertainty map shared by the op, gate, network and inference tests."""
 
 import numpy as np
 
-from hssr.errors import ParameterError
+from hssr.errors import DimensionError, ParameterError
+from hssr.evaluate import UncertaintyMap, _bins, _values
 from hssr.gating import GateParams
 from hssr.model import NetConfig, assemble, build_net, forward, loss, parameters
 from hssr.tensor import (
@@ -248,3 +249,32 @@ def init_gate(name: str, channels: int, keep_prob: float, tau: float) -> GatePar
         raise ParameterError(f"temperature must be positive, got {tau}")
     logit = float(np.log(keep_prob / (1.0 - keep_prob)))
     return GateParams(Param(name, np.full(channels, logit, dtype=np.float32)), tau=tau)
+
+
+def uncertainty(samples: list, mean) -> UncertaintyMap:
+    """Per pixel, how many samples have a 1/255-discretized value that
+    disagrees with the discretized mean; a NaN or infinite sample value
+    always disagrees. Consumes no ground truth.
+
+    Bins are compared as the integers round(v * 255): for a mean in [0, 1],
+    as `mc_infer` returns it, they are equal exactly when the bins i/255 are.
+    Only a direct caller can pass a mean outside [0, 1]; where it and a
+    sample both exceed about 3.5e13, unequal integers can count a
+    disagreement that comparing their float64 quotients by 255 would miss.
+
+    Works one band at a time in float64, so its temporaries are band-sized."""
+    if len(samples) < 2:
+        raise ParameterError(f"uncertainty needs >= 2 samples, got {len(samples)}")
+    ref = _values(mean)
+    vals = [_values(s) for s in samples]
+    for v in vals:
+        if v.shape != ref.shape:
+            raise DimensionError(f"sample shape {v.shape} != mean shape {ref.shape}")
+    n = len(samples)
+    counts = np.zeros(ref.shape, dtype=np.min_scalar_type(n))
+    ref_bin, bins = np.empty(ref.shape[1:]), np.empty(ref.shape[1:])
+    for b in range(ref.shape[0]):
+        _bins(ref[b], ref_bin)
+        for v in vals:
+            counts[b] += _bins(v[b], bins) != ref_bin
+    return UncertaintyMap(counts, n_samples=n)

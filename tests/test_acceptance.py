@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from hssr.cli import main
-from hssr.evaluate import mc_infer, mpsnr, mssim, sam, uncertainty
+from hssr.evaluate import mc_infer, mpsnr, mssim, sam
 from hssr.gating import sample_hard, sample_soft
 from hssr.hsdata import (
     DatasetManifest,
@@ -39,7 +39,7 @@ from hssr.model import NetConfig, build_net, forward, parameters, unit_forward
 from hssr.tensor import Tensor, bicubic_resize_array
 from hssr.train import TrainConfig, train
 
-from helpers import directional_fd_check, float64_net, gradcheck_all_ops, init_gate
+from helpers import directional_fd_check, float64_net, gradcheck_all_ops, init_gate, uncertainty
 from oracles import mpsnr_loop, mssim_loop, sam_loop, uncertainty_loop
 from reference_net import extract_params, reference_forward
 

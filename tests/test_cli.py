@@ -449,6 +449,30 @@ class TestInferenceCommands:
         one, two = peak(1), peak(2)
         assert two <= one + 4 * 3 * 64 * 64, (one, two)
 
+    def test_sr_save_samples_peak_memory_does_not_grow_with_n(self, run_dir, tmp_path):
+        # 32x32 LR: one HR sample (3x64x64 float32, 48 KiB) is large against
+        # interpreter bookkeeping, and a stack of the samples grows by six of
+        # them from N=2 to N=8
+        src = tmp_path / "a.hsc"
+        write_cube(random_smooth_cube(3, 32, 32, np.random.default_rng(4), name="a"), src)
+
+        def peak(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main([
+                    "sr", "--checkpoint", str(run_dir / "checkpoint.pdec"), "--input", str(src),
+                    "--n-samples", str(n), "--out", str(tmp_path / f"m{n}.hsc"),
+                    "--save-samples", str(tmp_path / f"s{n}"),
+                ]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm up lazily built state
+        two, eight = peak(2), peak(8)
+        assert eight - two <= 3 * 64 * 64 * 4 + 16 * 1024, (two, eight)
+
     def test_uncertainty_map(self, run_dir, data_dir, tmp_path):
         src = next(iter(sorted((data_dir / "lr" / "test").glob("*.hsc"))))
         out = tmp_path / "umap.hsc"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import affine_net
+from helpers import affine_net, uncertainty
 from oracles import mpsnr_loop, mssim_loop, sam_loop, uncertainty_loop
 
 from hssr import evaluate, model, tensor
@@ -19,13 +19,13 @@ from hssr.evaluate import (
     evaluate_pairs,
     mc_infer,
     mc_mean,
+    mc_samples,
     mc_uncertainty,
     mpsnr,
     mssim,
     report_csv,
     report_text,
     sam,
-    uncertainty,
 )
 from hssr.hsdata import HSCube
 from hssr.model import NetConfig, build_net, forward, parameters
@@ -230,6 +230,32 @@ class TestMcMean:
             mc_mean(net, rng.uniform(size=(3, 8)), n=1, seed=0)
         with pytest.raises(DimensionError):
             mc_mean(net, _cube(rng, b=4), n=1, seed=0)
+
+
+class TestMcSamples:
+    def test_yields_mc_infer_samples_in_one_buffer(self, rng):
+        net = small_net()
+        cube = _cube(rng, name="scene")
+        _, want = mc_infer(net, cube, n=4, seed=2)
+        seen = []
+        for i, s in enumerate(mc_samples(net, cube, n=4, seed=2)):
+            # each sample is compared before the next draw overwrites it
+            assert s.name == want[i].name == f"scene_s{i}"
+            assert s.values.dtype == np.float32
+            assert s.values.tobytes() == want[i].values.tobytes(), i
+            seen.append(s.values)
+        assert len(seen) == 4
+        assert all(np.shares_memory(v, seen[0]) for v in seen[1:])
+
+    @pytest.mark.parametrize("n, seed, shape, err", [
+        (2, -1, (3, 8, 8), ParameterError),
+        (0, 0, (3, 8, 8), ParameterError),
+        (1, 0, (3, 8), DimensionError),
+    ], ids=["negative_seed", "no_samples", "2d_cube"])
+    def test_argument_errors_come_at_the_first_draw(self, rng, n, seed, shape, err):
+        samples = mc_samples(small_net(), rng.uniform(size=shape), n=n, seed=seed)
+        with pytest.raises(err):
+            next(samples)
 
 
 @pytest.mark.parametrize("fn", [mc_mean, mc_infer, mc_uncertainty],

@@ -23,7 +23,6 @@ from hssr.model import (
     build_net,
     chain_kernels,
     degrade,
-    estimate,
     finish_stage,
     forward,
     loss,
@@ -318,7 +317,7 @@ class TestFinishStage:
                 np.testing.assert_array_equal(got, want.data)
                 _, samples = mc_infer(net, x[0], 2, seed)
                 for s, ss in zip(samples, np.random.SeedSequence(seed).spawn(2)):
-                    taped = estimate(net, x, "sample", np.random.default_rng(ss), graph=Graph())
+                    taped = forward(net, x, "sample", np.random.default_rng(ss), graph=Graph())[0]
                     np.testing.assert_array_equal(s.values, taped.data[0])
 
     def test_peak_memory_grows_with_band_height_not_cube_height(self):
