@@ -1,6 +1,6 @@
 """Batch command-line pipeline: prepare, train, sr, eval, uncertainty.
 
-Every command validates its inputs up front, writes outputs atomically
+Every command validates its inputs before it writes, writes outputs atomically
 (temp file + rename), and is deterministic given its seeds. Exit codes:
 0 success, 1 runtime failure (e.g. divergence), 2 configuration or
 validation error, 3 I/O error. Output directories appear when their first
@@ -162,8 +162,8 @@ def cmd_train(args) -> int:
 
 
 def _infer_inputs(args):
-    """The checkpoint's net and one (LR cube file, output file) pair per cube."""
-    _check_seed(args.seed)
+    """The checkpoint's net and one (LR cube file, output file) pair per cube.
+    The seed and N are checked by `evaluate`, at the first cube."""
     net = load_checkpoint(Path(args.checkpoint))
     in_path, out = Path(args.input), Path(args.out)
     files = _cube_files(in_path)
@@ -188,16 +188,14 @@ def cmd_sr(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
-    if args.n_samples < 2:
-        raise ParameterError(f"uncertainty needs --n-samples >= 2, got {args.n_samples}")
     net, jobs = _infer_inputs(args)
     for f, target in jobs:
-        umap = mc_uncertainty(net, read_cube(f), args.n_samples, args.seed)
+        counts = mc_uncertainty(net, read_cube(f), args.n_samples, args.seed)
         # HSC1 stores [0,1]: the fraction of disagreeing samples, a band at a time
-        frac = np.empty(umap.counts.shape, dtype=np.float32)
+        frac = np.empty(counts.shape, dtype=np.float32)
         for b in range(frac.shape[0]):
-            frac[b] = umap.counts[b] / umap.n_samples
-        del umap
+            frac[b] = counts[b] / args.n_samples
+        del counts
         write_cube(HSCube(frac, name=f.stem), target)
         del frac
     print(f"wrote {len(jobs)} uncertainty map(s) -> {args.out}")

@@ -11,12 +11,15 @@ refines sample i into one reused float32 slot and yields it, so a consumer
 holds one sample whatever N is. `hssr sr --save-samples` writes each
 sample as it comes, and `mc_uncertainty` counts the samples' disagreement
 with their clamped mean from a running float32 sum, keeping each earlier
-sample only as its 1/255 bins, 1.125 bytes per value. `mc_infer` returns
-the mean and every sample, refined in their slots of one [N, B, H, W]
-stack, so it grows with N by the N output cubes. All of them add each
-stage's HR half into their output in bands of rows (`model.finish_stage`),
-so beyond the output cubes the HR side holds a few band-sized buffers, not
-whole cubes.
+sample only as its 1/255 bins, 1.125 bytes per value; it returns the
+counts, and `hssr uncertainty` writes them over N. `mc_infer` returns the
+mean and every sample, refined in their slots of one [N, B, H, W] stack, so
+it grows with N by the N output cubes. No command calls it: it is the
+verification reference that the tests check the other three against and
+that `perfbench/reconcile.py` times, so it stays here until the benchmark
+stops importing it. All of them add each stage's HR half into their output
+in bands of rows (`model.finish_stage`), so beyond the output cubes the HR
+side holds a few band-sized buffers, not whole cubes.
 
 All metrics are computed in float64, one band at a time, so their
 temporaries are band-sized; MSSIM filters its five moment maps (x, y, x^2,
@@ -37,7 +40,6 @@ from .model import SRNet, mean_estimate, refine
 from .tensor import Tensor
 
 __all__ = [
-    "UncertaintyMap",
     "MetricsReport",
     "mc_mean",
     "mc_infer",
@@ -54,21 +56,6 @@ __all__ = [
 _PSNR_CAP = 100.0  # dB assigned when the error is exactly zero
 _SSIM_WINDOW = 11  # extent and spread of the reference SSIM's Gaussian window
 _SSIM_SIGMA = 1.5
-
-
-@dataclass
-class UncertaintyMap:
-    """Per-pixel counts of samples that disagree with the mean; `hssr
-    uncertainty` writes counts / n_samples."""
-
-    counts: np.ndarray  # [B, H, W] in 0..n_samples, dtype np.min_scalar_type(n_samples)
-    n_samples: int
-
-    @property
-    def values(self) -> np.ndarray:
-        """The whole map as float64 percentages, [B, H, W] in [0, 100],
-        each a multiple of 100/N."""
-        return 100.0 * self.counts / self.n_samples
 
 
 @dataclass
@@ -193,10 +180,11 @@ def _stored_disagree(bins: np.ndarray, bits: np.ndarray, ref_bin: np.ndarray) ->
     return (bins != ref_bin) | odd.view(bool)
 
 
-def mc_uncertainty(net: SRNet, cube, n: int, seed) -> UncertaintyMap:
+def mc_uncertainty(net: SRNet, cube, n: int, seed) -> np.ndarray:
     """Per pixel, how many of `mc_samples`' N samples have a 1/255 bin
     round(v * 255) unequal to that of their clamped mean, as `mc_infer`
-    makes it; a NaN or infinite sample value always disagrees. Holds two
+    makes it; a NaN or infinite sample value always disagrees. Returns the
+    counts, [B, H, W] in 0..N of dtype np.min_scalar_type(N). Holds two
     float32 HR cubes instead of N + 1.
 
     Sample 0 is copied into a running float32 sum and every later one added
@@ -225,7 +213,7 @@ def mc_uncertainty(net: SRNet, cube, n: int, seed) -> UncertaintyMap:
         counts[c] += _bins(s.values[c], last_bin) != ref_bin
         for bins, bits in stored:
             counts[c] += _stored_disagree(bins[c], bits[c], ref_bin)
-    return UncertaintyMap(counts, n_samples=n)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +288,13 @@ def mssim(pred, ref) -> float:
     for b in range(p.shape[0]):
         x, y = p[b].astype(np.float64), r[b].astype(np.float64)
         mu_x, mu_y = _smooth_valid(x, blk), _smooth_valid(y, blk)
-        var_x = _smooth_valid(x * x, blk) - mu_x * mu_x
-        var_y = _smooth_valid(y * y, blk) - mu_y * mu_y
-        cov = _smooth_valid(x * y, blk) - mu_x * mu_y
-        num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
-        den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+        mu_xy = mu_x * mu_y
+        mu_xx, mu_yy = np.square(mu_x, out=mu_x), np.square(mu_y, out=mu_y)  # one map fewer
+        var_x = _smooth_valid(x * x, blk) - mu_xx
+        var_y = _smooth_valid(y * y, blk) - mu_yy
+        cov = _smooth_valid(x * y, blk) - mu_xy
+        num = (2 * mu_xy + c1) * (2 * cov + c2)
+        den = (mu_xx + mu_yy + c1) * (var_x + var_y + c2)
         scores.append(np.mean(num / den))
     return float(np.mean(scores))
 

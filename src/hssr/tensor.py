@@ -559,6 +559,7 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0, groups: int = 1) 
                             view += cols[t]
             if need_k:
                 gk = gkm.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+            buf = sbuf = cols = None  # free the column buffer (cols views it) before the crop
         if need_x and padding:  # contiguous: sums over a strided view would round differently
             gxp = np.ascontiguousarray(gxp[:, :, padding:-padding, padding:-padding])
         return (gxp, gk, gb)

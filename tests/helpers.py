@@ -4,7 +4,7 @@ uncertainty map shared by the op, gate, network and inference tests."""
 import numpy as np
 
 from hssr.errors import DimensionError, ParameterError
-from hssr.evaluate import UncertaintyMap, _bins, _values
+from hssr.evaluate import _bins, _values
 from hssr.gating import GateParams
 from hssr.model import NetConfig, assemble, build_net, forward, loss, parameters
 from hssr.tensor import (
@@ -251,10 +251,17 @@ def init_gate(name: str, channels: int, keep_prob: float, tau: float) -> GatePar
     return GateParams(Param(name, np.full(channels, logit, dtype=np.float32)), tau=tau)
 
 
-def uncertainty(samples: list, mean) -> UncertaintyMap:
+def percent(counts: np.ndarray, n: int) -> np.ndarray:
+    """Disagreement counts out of n samples as float64 percentages in
+    [0, 100], each a multiple of 100/n."""
+    return 100.0 * counts / n
+
+
+def uncertainty(samples: list, mean) -> np.ndarray:
     """Per pixel, how many samples have a 1/255-discretized value that
-    disagrees with the discretized mean; a NaN or infinite sample value
-    always disagrees. Consumes no ground truth.
+    disagrees with the discretized mean, as `evaluate.mc_uncertainty`
+    counts them ([B, H, W] of dtype np.min_scalar_type(N)); a NaN or
+    infinite sample value always disagrees. Consumes no ground truth.
 
     Bins are compared as the integers round(v * 255): for a mean in [0, 1],
     as `mc_infer` returns it, they are equal exactly when the bins i/255 are.
@@ -277,4 +284,4 @@ def uncertainty(samples: list, mean) -> UncertaintyMap:
         _bins(ref[b], ref_bin)
         for v in vals:
             counts[b] += _bins(v[b], bins) != ref_bin
-    return UncertaintyMap(counts, n_samples=n)
+    return counts

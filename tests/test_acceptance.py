@@ -39,7 +39,14 @@ from hssr.model import NetConfig, build_net, forward, parameters, unit_forward
 from hssr.tensor import Tensor, bicubic_resize_array
 from hssr.train import TrainConfig, train
 
-from helpers import directional_fd_check, float64_net, gradcheck_all_ops, init_gate, uncertainty
+from helpers import (
+    directional_fd_check,
+    float64_net,
+    gradcheck_all_ops,
+    init_gate,
+    percent,
+    uncertainty,
+)
 from oracles import mpsnr_loop, mssim_loop, sam_loop, uncertainty_loop
 from reference_net import extract_params, reference_forward
 
@@ -380,18 +387,18 @@ def test_criterion_09_uncertainty(acceptance_log, uncertainty_model, clean_datas
         _, _, eval_hr, eval_lr = clean_dataset
 
         mean, samples = mc_infer(net, eval_lr[0], 8, seed=3)
-        umap = uncertainty(samples, mean)
+        values = percent(uncertainty(samples, mean), 8)
         oracle = uncertainty_loop([s.values for s in samples], mean.values)
-        np.testing.assert_array_equal(umap.values, oracle)
-        quanta = umap.values / (100.0 / 8)
+        np.testing.assert_array_equal(values, oracle)
+        quanta = values / (100.0 / 8)
         assert np.array_equal(quanta, np.round(quanta)), "values not multiples of 100/N"
 
         pooled_u, pooled_e = [], []
         for hr, lr in zip(eval_hr, eval_lr):
             mean, samples = mc_infer(net, lr, 10, seed=0)
-            umap = uncertainty(samples, mean)
+            values = percent(uncertainty(samples, mean), 10)
             err = np.abs(mean.values.astype(np.float64) - hr.values.astype(np.float64))
-            pooled_u.append(umap.values.ravel())
+            pooled_u.append(values.ravel())
             pooled_e.append(err.ravel())
         u = np.concatenate(pooled_u)
         e = np.concatenate(pooled_e)

@@ -678,6 +678,15 @@ class TestExitTwoLeavesNoOutput:
         assert rc == 2
         assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
+    def test_sr_with_negative_seed_and_save_samples(self, run_dir, data_dir, tmp_path):
+        rc = main([
+            "sr", "--checkpoint", str(run_dir / "checkpoint.pdec"),
+            "--input", str(data_dir / "lr" / "test"), "--seed", "-1",
+            "--out", str(tmp_path / "p"), "--save-samples", str(tmp_path / "s"),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "p").exists() and not (tmp_path / "s").exists()
+
     def test_eval_baseline_without_lr_cubes(self, data_dir, tmp_path):
         (tmp_path / "no_lr").mkdir()
         rc = main([

@@ -208,6 +208,31 @@ class TestConv2d:
         assert gx.shape == x.shape and gk.shape == k.shape
         assert peak - gx.nbytes - gk.nbytes <= 2 * tensor._COLS_BYTES
 
+    def test_strided_backward_frees_its_buffers_before_the_crop(self, rng):
+        # the train degrade: while the padded input gradient is cropped, at
+        # most the block's column buffer and input strip may be alive with it
+        g = Graph()
+        x = g.leaf(rng.random((4, 31, 32, 32), dtype=np.float32))
+        k = g.leaf(rng.random((31, 31, 5, 5), dtype=np.float32))
+        b = g.leaf(np.zeros(31, np.float32))
+        out = conv2d(x, k, b, stride=4, padding=2)
+        grad_fn = g.nodes[out.node_id].grad_fn
+        go = rng.random(out.shape, dtype=np.float32)
+        grad_fn(go)  # warm up lazily built state
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gx, gk, _ = grad_fn(go)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        rows = tensor.conv_block_rows(31, 32, 32, 5, 5, 4, 2, 4)
+        cols = 5 * 5 * 31 * rows * out.shape[3] * 4
+        strip = 31 * (4 * (rows - 1) + 5) * 36 * 4
+        padded = 4 * 31 * 36 * 36 * 4
+        assert gx.shape == x.shape and gk.shape == k.shape
+        assert peak - padded - gx.nbytes - gk.nbytes <= cols + strip, peak
+
     def test_depthwise_equals_per_channel_correlation(self, rng):
         x = rng.uniform(-1, 1, (1, 3, 6, 6))
         k = rng.uniform(-1, 1, (3, 1, 3, 3))
