@@ -33,6 +33,7 @@ from .hsdata import (
     f32le,
     lr_counterpart,
     read_cube,
+    read_cube_header,
 )
 from .model import (
     NetConfig,
@@ -54,7 +55,7 @@ __all__ = [
     "adam_step",
     "lr_at",
     "train",
-    "load_pairs",
+    "check_pairs",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -158,14 +159,15 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 # data plumbing
 
 
-def load_pairs(man: DatasetManifest, base_dir) -> list:
-    """(lr, hr) array pairs for every train entry of the manifest.
+def check_pairs(man: DatasetManifest, base_dir) -> tuple:
+    """The HR patch shape [B, H, W] that every train pair of the manifest shares.
 
     Entries point at HR cubes under ``hr/``; the LR mate lives at the same
-    path under ``lr/``. All pairs must share one patch geometry.
+    path under ``lr/``. Each pair is read once and dropped, so `read_cube`'s
+    checks run here along with the band, scale and uniform-shape checks.
     """
     base = Path(base_dir)
-    pairs = []
+    shape = None
     for rel in man.paths("train"):
         hr = read_cube(base / rel)
         lr = read_cube(base / lr_counterpart(rel))
@@ -176,16 +178,24 @@ def load_pairs(man: DatasetManifest, base_dir) -> list:
                 f"{rel}: LR {lr.height}x{lr.width} is not HR {hr.height}x{hr.width} "
                 f"downscaled by {man.scale}"
             )
-        pairs.append((lr.values, hr.values))
-    if pairs:
-        shape = pairs[0][1].shape
-        for (lrv, hrv), rel in zip(pairs, man.paths("train")):
-            if hrv.shape != shape:
-                raise DimensionError(
-                    f"{rel}: patch shape {hrv.shape} differs from {shape}; "
-                    "the training set must be uniform"
-                )
-    return pairs
+        if shape is None:
+            shape = hr.values.shape
+        elif hr.values.shape != shape:
+            raise DimensionError(
+                f"{rel}: patch shape {hr.values.shape} differs from {shape}; "
+                "the training set must be uniform"
+            )
+    return shape
+
+
+def _patch(path: Path, shape: tuple, code: int) -> np.ndarray:
+    """The cube at `path`, augmented by `code`; its shape must still be the
+    `shape` that `check_pairs` saw."""
+    vals = read_cube(path).values
+    if vals.shape != shape:
+        raise FormatError(f"{path}: shape {vals.shape} differs from the {shape} checked "
+                          "before training; the file changed")
+    return _augmented(vals, code)
 
 
 def _augmented(arr: np.ndarray, code: int) -> np.ndarray:
@@ -200,26 +210,33 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir, b
           log_cb=None):
     """Run warm-up then main training; returns (net, history).
 
-    Reads the manifest's cubes under base_dir. Writes ``train.log`` (one
-    ``epoch=<i> lr=<f> loss=<f> secs=<f>`` line per epoch, epochs numbered
-    continuously across both phases) and ``checkpoint.pdec`` into out_dir,
-    plus periodic checkpoints when configured. On divergence the last
-    checkpoint already on disk is left in place and a TrainingError is
-    raised.
+    Reads the manifest's cubes under base_dir: `check_pairs` checks every
+    pair once before anything is written, then each step reads its batch's
+    pairs again, so no pair's payload is held between steps. A file whose
+    shape changed since the check raises FormatError at its step.
+
+    Writes ``train.log`` (one ``epoch=<i> lr=<f> loss=<f> secs=<f>`` line
+    per epoch, epochs numbered continuously across both phases) and
+    ``checkpoint.pdec`` into out_dir, plus periodic checkpoints when
+    configured. On divergence the last checkpoint already on disk is left
+    in place and a TrainingError is raised.
     """
-    pairs = load_pairs(man, base_dir)
-    if not pairs:
+    rels = man.paths("train")
+    if not rels:
         raise ParameterError("manifest has no train entries")
     if man.scale != net_cfg.scale:
         raise ParameterError(
             f"manifest was prepared for scale {man.scale}, config says {net_cfg.scale}"
         )
-    _, h, w = pairs[0][1].shape
-    if cfg.augment and min(cfg.batch, len(pairs)) > 1 and h != w:
+    base = Path(base_dir)
+    _, h, w = read_cube_header(base / rels[0])
+    if cfg.augment and min(cfg.batch, len(rels)) > 1 and h != w:
         raise DimensionError(
             f"augmentation rotates the {h}x{w} training patches, so a batch would mix "
             f"{h}x{w} and {w}x{h}; use square patches, batch=1 or augment=false"
         )
+    b, h, w = check_pairs(man, base)
+    hr_shape, lr_shape = (b, h, w), (b, h // man.scale, w // man.scale)
 
     root = np.random.SeedSequence(cfg.seed)
     init_ss, order_ss, gate_ss = root.spawn(3)
@@ -240,17 +257,18 @@ def train(man: DatasetManifest, net_cfg: NetConfig, cfg: TrainConfig, out_dir, b
             warm = main_i < 0
             lr = cfg.lr0 if warm else lr_at(main_i, cfg)
             mode = "warmup" if warm else "train"
-            order = order_rng.permutation(len(pairs))
+            order = order_rng.permutation(len(rels))
             codes = (
-                order_rng.integers(0, 8, size=len(pairs))
+                order_rng.integers(0, 8, size=len(rels))
                 if cfg.augment
-                else np.zeros(len(pairs), dtype=int)
+                else np.zeros(len(rels), dtype=int)
             )
             epoch_losses = []
             for lo in range(0, len(order), cfg.batch):
                 idx = order[lo:lo + cfg.batch]
-                x = np.stack([_augmented(pairs[i][0], int(codes[i])) for i in idx])
-                y = np.stack([_augmented(pairs[i][1], int(codes[i])) for i in idx])
+                x = np.stack([_patch(base / lr_counterpart(rels[i]), lr_shape, int(codes[i]))
+                              for i in idx])
+                y = np.stack([_patch(base / rels[i], hr_shape, int(codes[i])) for i in idx])
                 graph = Graph()
                 y_hat, x_hat = forward(net, Tensor(x), mode, rng=gate_rng, graph=graph)
                 step_loss = loss(y_hat, Tensor(y), x_hat, Tensor(x), cfg.lam)

@@ -13,16 +13,23 @@ import pytest
 
 from oracles import adam_single_step
 
+from hssr.cli import main
 from hssr.errors import DimensionError, FormatError, ParameterError, TrainingError
-from hssr.hsdata import DatasetManifest, make_lr, random_smooth_cube, write_cube
+from hssr.hsdata import (
+    DatasetManifest,
+    make_lr,
+    random_smooth_cube,
+    write_cube,
+    write_manifest,
+)
 from hssr.model import NetConfig, build_net, forward, parameters
 from hssr.tensor import Param, Tensor
 from hssr.train import (
     TrainConfig,
     adam_step,
+    check_pairs,
     init_adam,
     load_checkpoint,
-    load_pairs,
     lr_at,
     save_checkpoint,
     train,
@@ -517,18 +524,26 @@ class TestTrainLoop:
 
 
 class TestLoadPairs:
-    def test_pairs_align(self, tmp_path):
+    def test_pairs_align(self, tmp_path, monkeypatch):
         man = make_dataset(tmp_path, n=2, hw=16, scale=2)
-        pairs = load_pairs(man, tmp_path)
-        assert len(pairs) == 2
-        for lr, hr in pairs:
-            assert lr.shape == (3, 8, 8) and hr.shape == (3, 16, 16)
+        train_mod = importlib.import_module("hssr.train")
+        real_read = train_mod.read_cube
+        shapes = []
+
+        def spy(path):
+            cube = real_read(path)
+            shapes.append(cube.values.shape)
+            return cube
+
+        monkeypatch.setattr(train_mod, "read_cube", spy)
+        assert check_pairs(man, tmp_path) == (3, 16, 16)
+        assert shapes == [(3, 16, 16), (3, 8, 8)] * 2  # each cube read once
 
     def test_scale_pairing_enforced(self, tmp_path):
         man = make_dataset(tmp_path, n=1, hw=16, scale=2)
         bad = DatasetManifest(man.entries, scale=4, patch=16, stride=16)
         with pytest.raises(DimensionError):
-            load_pairs(bad, tmp_path)
+            check_pairs(bad, tmp_path)
 
     def test_uniform_shape_enforced(self, tmp_path):
         man = make_dataset(tmp_path, n=1, hw=16, scale=2)
@@ -538,4 +553,79 @@ class TestLoadPairs:
         write_cube(make_lr(big, 2), tmp_path / "lr" / "train" / "big.hsc")
         man.entries.append(("hr/train/big.hsc", "train"))
         with pytest.raises(DimensionError, match="uniform"):
-            load_pairs(man, tmp_path)
+            check_pairs(man, tmp_path)
+
+
+class TestTrainingSetOnDisk:
+    """`train()` checks every pair up front and reads each batch at its step."""
+
+    @staticmethod
+    def _peak(root, n, epochs):
+        man = make_dataset(root, n=n, hw=16, scale=2)
+        cfg = TrainConfig(warmup_epochs=epochs, main_epochs=0, batch=4, seed=0)
+        net_cfg = NetConfig(bands=3, scale=2, stages=1, units_per_stage=1, channels=4)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            train(man, net_cfg, cfg, root / "run", base_dir=root)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_training_set(self, tmp_path):
+        # both runs take 16 steps: traced memory also rises with the step
+        # count while CPython's free lists fill, whatever the set's size.
+        # Holding the 56 extra pairs would add 56 * 3.75 kB; only their
+        # shuffle order and augmentation codes may grow
+        hr_patch = 3 * 16 * 16 * 4
+        small = self._peak(tmp_path / "few", 8, epochs=8)
+        large = self._peak(tmp_path / "many", 64, epochs=1)
+        assert large - small < hr_patch, (small, large)
+
+    def test_nan_patch_listed_last_exits_2_with_no_output(self, tmp_path, capsys):
+        man = make_dataset(tmp_path, n=4)
+        last = tmp_path / man.paths("train")[-1]
+        blob = bytearray(last.read_bytes())
+        blob[-4:] = struct.pack("<f", float("nan"))
+        last.write_bytes(bytes(blob))
+        write_manifest(man, tmp_path / "manifest.txt")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("manifest=manifest.txt\nstages=1\nunits_per_stage=1\nchannels=4\n"
+                       "warmup_epochs=1\nmain_epochs=0\n")
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_file_reshaped_after_the_check_raises_format_error(self, tmp_path):
+        man = make_dataset(tmp_path, n=2)
+        target = tmp_path / man.paths("train")[0]
+
+        def reshape_after_first_epoch(line):
+            if line.startswith("epoch=0 "):
+                cube = random_smooth_cube(3, 32, 32, np.random.default_rng(1), name="c0")
+                write_cube(cube, target)
+
+        cfg = TrainConfig(warmup_epochs=1, main_epochs=1, batch=2, seed=0)
+        with pytest.raises(FormatError, match=re.escape(str(target))):
+            train(man, NET3, cfg, tmp_path / "run", base_dir=tmp_path,
+                  log_cb=reshape_after_first_epoch)
+
+    def test_config_mistakes_are_reported_before_any_payload_is_read(self, tmp_path,
+                                                                     monkeypatch):
+        man = make_dataset(tmp_path, n=2)
+        train_mod = importlib.import_module("hssr.train")
+
+        def no_payload(path):
+            raise AssertionError(f"train() decoded {path}")
+
+        monkeypatch.setattr(train_mod, "read_cube", no_payload)
+        wrong_scale = NetConfig(bands=3, scale=4, stages=1, units_per_stage=1, channels=4)
+        with pytest.raises(ParameterError, match="scale"):
+            train(man, wrong_scale, TrainConfig(), tmp_path / "a", base_dir=tmp_path)
+        wide = random_smooth_cube(3, 16, 32, np.random.default_rng(2), name="wide")
+        write_cube(wide, tmp_path / "hr" / "train" / "wide.hsc")
+        first_wide = DatasetManifest([("hr/train/wide.hsc", "train"), *man.entries], scale=2)
+        with pytest.raises(DimensionError, match="augment=false"):
+            train(first_wide, NET3, TrainConfig(batch=2), tmp_path / "b", base_dir=tmp_path)
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
