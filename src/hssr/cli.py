@@ -5,7 +5,10 @@ Every command validates its inputs before it writes, writes outputs atomically
 0 success, 1 runtime failure (e.g. divergence), 2 configuration or
 validation error, 3 I/O error. Output directories appear when their first
 file is written (`hsdata.atomic_write` makes them), so a command that
-exits 2 leaves no output behind.
+exits 2 before its first write leaves no output behind. A data error found
+mid-run (say, a bad later cube in an `--input` directory, or a cube too
+small for `prepare`'s patch) exits 2 and keeps the files of the cubes
+already done.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
-"""Gradient-check machinery, test-only constructors and the reference
-uncertainty map shared by the op, gate, network and inference tests."""
+"""Gradient-check machinery, test-only constructors, the reference uncertainty
+map and a loader for files outside the package, shared by the tests."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +28,15 @@ from hssr.tensor import (
     sigmoid,
     sub,
 )
+
+
+def load_module(rel_path: str):
+    """The repository's file `rel_path`, imported as a module named after its stem."""
+    path = Path(__file__).resolve().parent.parent / rel_path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def rel_err(a: np.ndarray, n: np.ndarray) -> float:

@@ -5,8 +5,11 @@ Every test appends one PASS/FAIL line to the terminal summary (see
 scorecard.  The heavyweight pieces — toy datasets, trained models, ablation
 sweeps — live in session-scoped fixtures and are shared across criteria.
 
-The toy corpus is 8 smooth random 31-band 64x64 cubes (6 train / 2 test).
-Training data for the gain and ablation criteria uses a noisy degradation
+The toy corpus, its patch pairs, the expectation-mode scorer and the
+depth/lambda sweep are those of scripts/run_ablations.py, imported by path,
+so criterion 07 runs the shipped sweep.  The corpus is smooth random 31-band
+64x64 cubes (6 train / 2 test, plus 8 evaluation-only extras).  Training
+data for the gain and ablation criteria uses a noisy degradation
 (sigma = 0.05 on the x4-downsampled patches): with smooth low-rank spectra,
 band-coupled denoising is something the network can learn quickly but plain
 bicubic upsampling cannot do at all, which makes the bicubic-relative gain a
@@ -26,15 +29,7 @@ import pytest
 from hssr.cli import main
 from hssr.evaluate import mc_infer, mpsnr, mssim, sam
 from hssr.gating import sample_hard, sample_soft
-from hssr.hsdata import (
-    DatasetManifest,
-    HSCube,
-    extract_patches,
-    make_lr,
-    random_smooth_cube,
-    write_cube,
-    write_manifest,
-)
+from hssr.hsdata import DatasetManifest, HSCube, write_cube, write_manifest
 from hssr.model import NetConfig, build_net, forward, parameters, unit_forward
 from hssr.tensor import Tensor, bicubic_resize_array
 from hssr.train import TrainConfig, train
@@ -44,16 +39,17 @@ from helpers import (
     float64_net,
     gradcheck_all_ops,
     init_gate,
+    load_module,
     percent,
     uncertainty,
 )
 from oracles import mpsnr_loop, mssim_loop, sam_loop, uncertainty_loop
 from reference_net import extract_params, reference_forward
 
-CORPUS_SEED = 20240819
-NOISE_SEED = 7
 NOISE_SIGMA = 0.05
 ALPHA = 4
+
+ablations = load_module("scripts/run_ablations.py")
 
 
 @contextmanager
@@ -81,55 +77,28 @@ def acceptance_log(request):
 
 @pytest.fixture(scope="session")
 def corpus():
-    """8 main cubes (6 train / 2 test) plus 8 extra evaluation-only cubes."""
-    rng = np.random.default_rng(np.random.SeedSequence(CORPUS_SEED))
-    main_cubes = [random_smooth_cube(31, 64, 64, rng, name=f"cube{i}") for i in range(8)]
-    extra = [random_smooth_cube(31, 64, 64, rng, name=f"extra{i}") for i in range(8)]
-    return main_cubes, extra
-
-
-def _write_pairs(root, cubes, noise_rng, sigma):
-    man = DatasetManifest(scale=ALPHA, patch=32, stride=16, seed=0)
-    (root / "hr/train").mkdir(parents=True)
-    (root / "lr/train").mkdir(parents=True)
-    for cube in cubes:
-        for patch in extract_patches(cube, 32, 16):
-            write_cube(patch, root / "hr/train" / f"{patch.name}.hsc")
-            write_cube(
-                make_lr(patch, ALPHA, sigma, noise_rng),
-                root / "lr/train" / f"{patch.name}.hsc",
-            )
-            man.entries.append((f"hr/train/{patch.name}.hsc", "train"))
-    return man
+    """16 cubes: 6 train, 2 held-out test and 8 extra evaluation-only cubes."""
+    return ablations.toy_corpus(16)
 
 
 @pytest.fixture(scope="session")
 def noisy_dataset(corpus, tmp_path_factory):
-    """Noisy-degradation training tree plus the 2 held-out test cubes."""
-    main_cubes, _ = corpus
+    """Noisy-degradation training tree plus the 2 held-out (HR, LR) pairs."""
     root = tmp_path_factory.mktemp("toy-noisy")
-    noise_rng = np.random.default_rng(np.random.SeedSequence(NOISE_SEED))
-    man = _write_pairs(root, main_cubes[:6], noise_rng, NOISE_SIGMA)
-    test_hr = main_cubes[6:]
-    test_lr = [make_lr(c, ALPHA, NOISE_SIGMA, noise_rng) for c in test_hr]
-    return root, man, test_hr, test_lr
+    return (root, *ablations.write_pairs(root, corpus[:8], ALPHA, NOISE_SIGMA))
 
 
 @pytest.fixture(scope="session")
 def clean_dataset(corpus, tmp_path_factory):
-    """Clean training tree plus 10 evaluation cubes (2 held-out + 8 extra)."""
-    main_cubes, extra = corpus
+    """Clean training tree plus 10 evaluation pairs (2 held-out + 8 extra)."""
     root = tmp_path_factory.mktemp("toy-clean")
-    man = _write_pairs(root, main_cubes[:6], None, 0.0)
-    eval_hr = main_cubes[6:] + extra
-    eval_lr = [make_lr(c, ALPHA) for c in eval_hr]
-    return root, man, eval_hr, eval_lr
+    return (root, *ablations.write_pairs(root, corpus, ALPHA, 0.0))
 
 
 @pytest.fixture(scope="session")
 def toy_model(noisy_dataset, tmp_path_factory):
     """The headline toy model: C=32, J=3, T=4, 5 warm-up + 20 main epochs."""
-    root, man, _, _ = noisy_dataset
+    root, man, _ = noisy_dataset
     net_cfg = NetConfig(bands=31, scale=ALPHA, stages=4, units_per_stage=3, channels=32)
     cfg = TrainConfig(lr0=1e-3, warmup_epochs=5, main_epochs=20, batch=4, seed=1)
     out = tmp_path_factory.mktemp("toy-run")
@@ -141,7 +110,7 @@ def toy_model(noisy_dataset, tmp_path_factory):
 @pytest.fixture(scope="session")
 def uncertainty_model(clean_dataset, tmp_path_factory):
     """Smaller model trained longer on clean data, for the error-trend check."""
-    root, man, _, _ = clean_dataset
+    root, man, _ = clean_dataset
     net_cfg = NetConfig(bands=31, scale=ALPHA, stages=2, units_per_stage=2, channels=16)
     cfg = TrainConfig(
         lr0=1e-3, warmup_epochs=2, main_epochs=38, batch=4, seed=3,
@@ -151,37 +120,13 @@ def uncertainty_model(clean_dataset, tmp_path_factory):
     return net
 
 
-def _expect_score(net, test_hr, test_lr):
-    """Deterministic expectation-mode MPSNR averaged over the test cubes."""
-    vals = []
-    for hr, lr in zip(test_hr, test_lr):
-        y_hat, _ = forward(net, Tensor(lr.values[None]), "expect")
-        vals.append(mpsnr(np.clip(y_hat.data[0], 0.0, 1.0), hr))
-    return float(np.mean(vals))
-
-
 @pytest.fixture(scope="session")
-def ablation_scores(noisy_dataset, tmp_path_factory):
-    """Expectation-mode MPSNR for (stages, lambda) arms over three seeds.
-
-    The T=4 lambda=1 run is shared between the depth sweep and the
-    consistency-loss sweep.
-    """
-    root, man, test_hr, test_lr = noisy_dataset
-    out_root = tmp_path_factory.mktemp("ablations")
-    scores = {}
-    for seed in (1, 2, 3):
-        for stages, lam in ((2, 1.0), (4, 1.0), (4, 0.0)):
-            net_cfg = NetConfig(
-                bands=31, scale=ALPHA, stages=stages, units_per_stage=2, channels=16
-            )
-            cfg = TrainConfig(
-                lr0=1e-3, warmup_epochs=5, main_epochs=20, batch=4, seed=seed, lam=lam
-            )
-            out = out_root / f"T{stages}_lam{int(lam)}_s{seed}"
-            net, _ = train(man, net_cfg, cfg, out, base_dir=root)
-            scores[(stages, lam, seed)] = _expect_score(net, test_hr, test_lr)
-    return scores
+def ablation_scores(noisy_dataset):
+    """Expectation-mode MPSNR for the script's (stages, lambda) arms over
+    three seeds; the T=4 lambda=1 run serves both the depth sweep and the
+    consistency-loss sweep."""
+    root, man, test = noisy_dataset
+    return dict(ablations.sweep(root, man, test, (1, 2, 3), ALPHA, 16, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +229,7 @@ def test_criterion_04_degenerate_reductions(acceptance_log):
 def test_criterion_05_toy_training_gain(acceptance_log, toy_model, noisy_dataset):
     with criterion(acceptance_log, 5, "toy training beats bicubic by >= 0.5 dB") as info:
         net, train_secs = toy_model
-        _, _, test_hr, test_lr = noisy_dataset
+        _, _, test = noisy_dataset
         base = float(np.mean([
             mpsnr(
                 np.clip(
@@ -292,11 +237,11 @@ def test_criterion_05_toy_training_gain(acceptance_log, toy_model, noisy_dataset
                 ),
                 hr,
             )
-            for hr, lr in zip(test_hr, test_lr)
+            for hr, lr in test
         ]))
         model = float(np.mean([
             mpsnr(mc_infer(net, lr, 10, seed=0)[0], hr)
-            for hr, lr in zip(test_hr, test_lr)
+            for hr, lr in test
         ]))
         gain = model - base
         assert train_secs < 1800.0, f"training took {train_secs:.0f}s"
@@ -310,14 +255,14 @@ def test_criterion_05_toy_training_gain(acceptance_log, toy_model, noisy_dataset
 def test_criterion_06_mc_sampling_trend(acceptance_log, toy_model, noisy_dataset):
     with criterion(acceptance_log, 6, "MPSNR is non-decreasing in MC sample count") as info:
         net, _ = toy_model
-        _, _, test_hr, test_lr = noisy_dataset
+        _, _, test = noisy_dataset
         counts = (1, 2, 5, 10)
         means, stds = [], []
         for n in counts:
             vals = [
                 np.mean([
                     mpsnr(mc_infer(net, lr, n, seed=s)[0], hr)
-                    for hr, lr in zip(test_hr, test_lr)
+                    for hr, lr in test
                 ])
                 for s in range(5)
             ]
@@ -384,9 +329,9 @@ def test_criterion_08_metric_oracles(acceptance_log):
 def test_criterion_09_uncertainty(acceptance_log, uncertainty_model, clean_dataset):
     with criterion(acceptance_log, 9, "uncertainty maps are exact and track error") as info:
         net = uncertainty_model
-        _, _, eval_hr, eval_lr = clean_dataset
+        _, _, evals = clean_dataset
 
-        mean, samples = mc_infer(net, eval_lr[0], 8, seed=3)
+        mean, samples = mc_infer(net, evals[0][1], 8, seed=3)
         values = percent(uncertainty(samples, mean), 8)
         oracle = uncertainty_loop([s.values for s in samples], mean.values)
         np.testing.assert_array_equal(values, oracle)
@@ -394,7 +339,7 @@ def test_criterion_09_uncertainty(acceptance_log, uncertainty_model, clean_datas
         assert np.array_equal(quanta, np.round(quanta)), "values not multiples of 100/N"
 
         pooled_u, pooled_e = [], []
-        for hr, lr in zip(eval_hr, eval_lr):
+        for hr, lr in evals:
             mean, samples = mc_infer(net, lr, 10, seed=0)
             values = percent(uncertainty(samples, mean), 10)
             err = np.abs(mean.values.astype(np.float64) - hr.values.astype(np.float64))

@@ -699,6 +699,22 @@ class TestExitTwoLeavesNoOutput:
         assert not (tmp_path / "r_bicubic.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["sr", "uncertainty"])
+def test_bad_later_cube_keeps_the_cubes_done(run_dir, tmp_path, command):
+    """A data error found mid-run exits 2 and keeps what the earlier cubes wrote."""
+    rng = np.random.default_rng(4)
+    for name, bands in (("a", 3), ("b", 4)):  # the net takes 3 bands
+        cube = HSCube(rng.uniform(0.0, 1.0, (bands, 8, 8)).astype(np.float32), name=name)
+        write_cube(cube, tmp_path / "in" / f"{name}.hsc")
+    ckpt = ["--checkpoint", str(run_dir / "checkpoint.pdec"), "--n-samples", "2"]
+    assert main([command, *ckpt, "--input", str(tmp_path / "in"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["a.hsc"]
+    assert main([command, *ckpt, "--input", str(tmp_path / "in" / "a.hsc"),
+                 "--out", str(tmp_path / "alone.hsc")]) == 0
+    assert (tmp_path / "out" / "a.hsc").read_bytes() == (tmp_path / "alone.hsc").read_bytes()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hssr", "--help"], capture_output=True, text=True

@@ -1,8 +1,8 @@
 """The example scripts under scripts/, run as a user would run them.
 
 `make_toy_dataset.py` and `run_toy_pipeline.py` run here at small sizes.
-`run_ablations.py` is left out: its arms train for a fixed 25 epochs each,
-which no option shortens, so one run takes minutes.
+`run_ablations.py` trains for minutes, so only its command line runs here;
+its sweep runs in full as acceptance criterion 07.
 """
 
 import subprocess
@@ -39,3 +39,11 @@ def test_run_toy_pipeline(tmp_path):
     assert rows[0] == "cube,mpsnr,mssim,sam"
     assert [r.split(",")[0] for r in rows[1:]] == ["cube6", "cube7", "MEAN"]
     assert (tmp_path / "run" / "checkpoint.pdec").exists()
+
+
+def test_run_ablations_help():
+    res = _run("run_ablations.py", "--help")
+    assert res.returncode == 0, res.stderr
+    for flag in ("--workdir", "--seeds", "--scale", "--noise-sigma", "--channels",
+                 "--units-per-stage"):
+        assert flag in res.stdout
