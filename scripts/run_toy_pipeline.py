@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """End-to-end demo on synthetic data: prepare, train, infer, score.
 
-Builds a small corpus of smooth random cubes, degrades it (x4 with additive
-noise), trains the default network briefly, super-resolves the held-out
-cubes with Monte-Carlo gate sampling, exports uncertainty maps, and prints
-the metric report next to a plain-bicubic baseline.  Everything runs through
-the same CLI entry points a user would call by hand.
+Takes the toy corpus of `run_ablations.py` (eight smooth random cubes),
+degrades it (x4 with additive noise), trains the default network briefly,
+super-resolves the held-out cubes with Monte-Carlo gate sampling, exports
+uncertainty maps, and prints the metric report next to a plain-bicubic
+baseline.  Everything runs through the same CLI entry points a user would
+call by hand.
 
 Example:
     python3 scripts/run_toy_pipeline.py --out toy_run
@@ -20,7 +21,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hssr.cli import main as hssr
-from hssr.hsdata import DatasetManifest, make_lr, random_smooth_cube, write_cube, write_manifest
+from hssr.hsdata import DatasetManifest, make_lr, write_cube, write_manifest
+from run_ablations import toy_corpus
 
 
 def main() -> int:
@@ -37,8 +39,7 @@ def main() -> int:
     raw = out / "raw"
 
     # 6 train cubes are patched by `prepare`; 2 test cubes are degraded whole
-    rng = np.random.default_rng(np.random.SeedSequence(20240819))
-    cubes = [random_smooth_cube(31, 64, 64, rng, name=f"cube{i}") for i in range(8)]
+    cubes = toy_corpus()
     man = DatasetManifest()
     for cube in cubes[:6]:
         write_cube(cube, raw / f"{cube.name}.hsc")

@@ -306,7 +306,8 @@ def make_lr(hr: HSCube, alpha: int, noise_sigma: float = 0.0, rng=None) -> HSCub
     noise_sigma=0 (the default) reproduces the pure-bicubic protocol; with
     noise the caller must pass a numpy Generator, and draws are made in
     float64 before clamping so the result is reproducible bit-exactly for a
-    fixed seed.
+    fixed seed. The cube is resampled straight into float64, with no float64
+    copy of it.
     """
     if alpha not in (2, 4, 8):
         raise ParameterError(f"scale factor must be 2, 4 or 8, got {alpha}")
@@ -316,9 +317,8 @@ def make_lr(hr: HSCube, alpha: int, noise_sigma: float = 0.0, rng=None) -> HSCub
         raise ParameterError(
             f"extents {hr.height}x{hr.width} not divisible by scale {alpha}"
         )
-    lr = bicubic_resize_array(
-        hr.values.astype(np.float64), hr.height // alpha, hr.width // alpha
-    )
+    h, w = hr.height // alpha, hr.width // alpha
+    lr = bicubic_resize_array(hr.values, h, w, out=np.empty((hr.bands, h, w)))
     if noise_sigma > 0:
         if rng is None:
             raise ParameterError("noise_sigma > 0 requires an rng")

@@ -18,6 +18,7 @@ finite differences.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -357,6 +358,8 @@ def concat_channels(tensors: Sequence) -> Tensor:
 # it. Swept at the sr tail, head and degrade shapes on 1 BLAS thread (medians
 # in CHANGES.md): 512 KiB ran the head ~13% slower (narrower matmuls), 2 MiB
 # ran the 128x128 tail ~8% slower, and a whole-plane buffer ran it 1.9x slower.
+# It also sizes bicubic_resize_array's chunks: as many planes as fit their
+# float64 temporaries in it, at least one.
 _COLS_BYTES = 1 << 20
 
 
@@ -618,8 +621,17 @@ def _cubic_weights(t: np.ndarray) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=16)
 def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """Row-stochastic [n_out, n_in] operator: half-pixel centers, edge replicate."""
+    """Row-stochastic [n_out, n_in] operator: half-pixel centers, edge replicate.
+
+    It depends on the two extents only, so each pair is built once and kept,
+    read-only, in a cache of at most 16 pairs (least recently used out
+    first). An entry is n_out * n_in float64s, so the cache holds at most 16
+    times the largest: with 512x512 HR planes that is `random_smooth_cube`'s
+    256 -> 512 operator, 1 MiB (x4 degradation and upsampling at 512 take
+    0.5 MiB), so at most 16 MiB.
+    """
     span = n_in / n_out
     dst = np.arange(n_out)
     src = (dst + 0.5) * span - 0.5
@@ -628,16 +640,22 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     for t in range(-1, 3):
         idx = np.clip(base + t, 0, n_in - 1)
         np.add.at(mat, (dst, idx), _cubic_weights(src - (base + t)))
+    mat.flags.writeable = False
     return mat
 
 
 def bicubic_resize_array(arr: np.ndarray, out_h: int, out_w: int, out=None) -> np.ndarray:
     """Bicubic resample of the trailing two axes of `arr`, into `out` if given.
 
-    Weights are computed in float64 and applied slice by slice, so a given
-    plane resamples identically no matter how it is batched; each float64
-    plane is rounded straight into the result, which has the input's dtype
-    unless `out` (of the result's shape) has another.
+    The float64 operators come from `_resize_matrix`'s cache. Planes are
+    resampled in chunks along the last leading axis, `row_op @ chunk @
+    col_op` in float64, with as many planes per chunk as fit their float64
+    temporaries (input copy, row pass, result) in _COLS_BYTES, and at least
+    one: 256x256 and larger outputs go one plane at a time. A stacked matmul
+    runs the same dgemm on each plane as the 2-D product does, so a plane's
+    bits do not depend on the chunk size or on how it is batched. Each chunk
+    is rounded straight into the result, which has the input's dtype unless
+    `out` (of the result's shape) has another.
     """
     if out_h < 1 or out_w < 1:
         raise ParameterError(f"bicubic_resize: target {out_h}x{out_w} must be positive")
@@ -651,8 +669,14 @@ def bicubic_resize_array(arr: np.ndarray, out_h: int, out_w: int, out=None) -> n
         raise DimensionError(f"bicubic_resize: out has shape {out.shape}, expected {shape}")
     row_op = _resize_matrix(h, out_h)
     col_op = _resize_matrix(w, out_w).T
-    for i in np.ndindex(arr.shape[:-2]):
-        out[i] = row_op @ arr[i].astype(np.float64) @ col_op
+    # chunks are basic slices of both arrays, so writing one writes `out`
+    src, dst = (arr[None], out[None]) if arr.ndim == 2 else (arr, out)
+    per_plane = 8 * (h * w + out_h * w + out_h * out_w)
+    k = max(1, _COLS_BYTES // per_plane)
+    for i in np.ndindex(src.shape[:-3]):
+        for j in range(0, src.shape[-3], k):
+            at = i + (slice(j, j + k),)
+            dst[at] = row_op @ src[at].astype(np.float64) @ col_op
     return out
 
 

@@ -446,6 +446,51 @@ class TestBicubic:
         assert up.dtype == np.float32
         assert peak - up.nbytes <= 2 * 256 * 256 * 8
 
+    @staticmethod
+    def _plane_loop(arr, oh, ow, dtype):
+        row = tensor._resize_matrix(arr.shape[-2], oh)
+        col = tensor._resize_matrix(arr.shape[-1], ow).T
+        want = np.empty(arr.shape[:-2] + (oh, ow), dtype)
+        for i in np.ndindex(arr.shape[:-2]):
+            want[i] = row @ arr[i].astype(np.float64) @ col
+        return want
+
+    @pytest.mark.parametrize("planes", [1, 2, 3])
+    def test_chunks_equal_a_plane_loop(self, rng, monkeypatch, planes):
+        # 5 planes per leading index: chunks of 1, 2+2+1 and 3+2
+        per_plane = 8 * (6 * 7 + 9 * 7 + 9 * 11)
+        monkeypatch.setattr(tensor, "_COLS_BYTES", planes * per_plane + per_plane - 1)
+        for arr in (rng.random((2, 5, 6, 7), dtype=np.float32), rng.random((2, 5, 6, 7)),
+                    rng.random((2, 10, 12, 21), dtype=np.float32)[:, ::2, ::2, ::3],
+                    rng.random((6, 7), dtype=np.float32)):
+            got = bicubic_resize_array(arr, 9, 11)
+            assert got.dtype == arr.dtype
+            np.testing.assert_array_equal(got, self._plane_loop(arr, 9, 11, arr.dtype))
+        arr = rng.random((2, 5, 6, 7), dtype=np.float32)
+        stack = np.full((2, 8, 9, 11), np.nan)
+        bicubic_resize_array(arr, 9, 11, out=stack[:, 2:7])
+        np.testing.assert_array_equal(stack[:, 2:7], self._plane_loop(arr, 9, 11, np.float64))
+        assert np.isnan(stack[:, :2]).all() and np.isnan(stack[:, 7:]).all()
+
+    def test_cached_operator_is_read_only(self):
+        op = tensor._resize_matrix(7, 13)
+        assert tensor._resize_matrix(7, 13) is op
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+
+    def test_holds_one_chunk_of_float64_temporaries(self, rng):
+        # all 31 bands of a sample fit in one chunk; the batch is not cast whole
+        x = rng.random((4, 31, 8, 8), dtype=np.float32)
+        bicubic_resize_array(x, 32, 32)  # the operator is cached from here on
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            up = bicubic_resize_array(x, 32, 32)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - up.nbytes <= 31 * 8 * (8 * 8 + 32 * 8 + 32 * 32)
+
     def test_rejects_tracked_input(self, rng):
         g = Graph()
         x = g.leaf(rng.random((1, 1, 4, 4)))
